@@ -316,20 +316,10 @@ def _cmd_sweep_level(args) -> int:
 def _cmd_conformal(args) -> int:
     y_cal, pred_cal, _ = data_io.load_forecasts(args.calibration)
     y_test, pred_test, _ = data_io.load_forecasts(args.test)
-    if y_cal.shape[1:] != y_test.shape[1:]:
-        raise DataError(
-            f"calibration nodes/steps {y_cal.shape[1:]} != test {y_test.shape[1:]}"
-        )
+    lo, hi, _cov = cp.calibrate_stream(y_cal, pred_cal, y_test, pred_test,
+                                       window=args.alpha, beta=args.beta,
+                                       mode=args.quantile_mode)
     _t, n_nodes, n_steps = y_test.shape
-    lo = np.empty_like(y_test)
-    hi = np.empty_like(y_test)
-    for node in range(n_nodes):
-        for step in range(n_steps):
-            lo[:, node, step], hi[:, node, step], _cov = cp.calibrate_stream(
-                y_cal[:, node, step], pred_cal[:, node, step],
-                y_test[:, node, step], pred_test[:, node, step],
-                window=args.alpha, beta=args.beta, mode=args.quantile_mode,
-            )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "node", "step", "y", "pred", "lo", "hi", "covered"])

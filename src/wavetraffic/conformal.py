@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError
 
 __all__ = [
     "conformal_score",
@@ -33,29 +33,35 @@ def conformal_score(y, pred, xi):
     return np.abs(np.asarray(y, dtype=np.float64) - np.asarray(pred, dtype=np.float64)) / xi
 
 
-def weighted_quantile(scores, beta: float, mode: str = "order") -> float:
-    """Windowed conformal quantile of the given scores.
+def weighted_quantile(scores, beta: float, mode: str = "order"):
+    """Windowed conformal quantile along the last axis of ``scores``.
 
     ``mode="order"`` (default): the ceil((1-beta)(n+1))-th order
     statistic, +inf when that rank exceeds n.  ``mode="literal"`` keeps
     the printed weighted-mean form for comparison only: the mean of the
     windowed scores when it reaches 1-beta, else +inf.
+
+    A 1-D window gives a float; a ``(streams, n)`` window gives one value
+    per row.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise DimensionError("weighted_quantile: empty score window")
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"weighted_quantile: beta must be in (0, 1), got {beta}")
+    n = scores.shape[-1]
     if mode == "literal":
-        m = scores.mean() * scores.size / (scores.size + 1)
-        return float(m) if m >= 1.0 - beta else math.inf
-    if mode != "order":
+        m = scores.mean(axis=-1) * n / (n + 1)
+        q = np.where(m >= 1.0 - beta, m, math.inf)
+    elif mode == "order":
+        rank = math.ceil((1.0 - beta) * (n + 1))
+        if rank > n:
+            q = np.full(scores.shape[:-1], math.inf)
+        else:
+            q = np.partition(scores, rank - 1, axis=-1)[..., rank - 1]
+    else:
         raise ParameterError(f"weighted_quantile: unknown mode {mode!r}")
-    n = scores.size
-    rank = math.ceil((1.0 - beta) * (n + 1))
-    if rank > n:
-        return math.inf
-    return float(np.sort(scores)[rank - 1])
+    return float(q) if scores.ndim == 1 else q
 
 
 def interval(pred, xi, cq):
@@ -147,20 +153,56 @@ class ConformalCalibrator:
 
 def calibrate_stream(y_cal, pred_cal, y_test, pred_test,
                      window: int = 288, beta: float = 0.1, mode: str = "order"):
-    """Run one stream end to end; returns (lo, hi, coverage).
+    """Band one stream, or many that share a time index; returns (lo, hi, coverage).
 
-    Calibration residuals seed the score window; each test step first
-    emits an interval, then folds the realized observation in.
+    Arrays are ``(T,)`` for one stream or ``(T, *streams)`` for many, the
+    calibration and test arrays agreeing on ``streams``. ``lo`` and ``hi``
+    have the shape of ``y_test``; coverage is over all of it. Each stream
+    gets the bands :class:`ConformalCalibrator` gives it, bit for bit.
+
+    Calibration residuals seed the score window; each test origin *t*
+    first emits an interval, then folds in its realized residual before
+    origin *t+1* is bounded. A horizon-*s* target of origin *t* is
+    observed only *s-1* origins later, so for *s >= 2* this update rule
+    lets each interval see *s-1* future observations (ROADMAP item 3
+    holds the horizon-lag fix).
     """
-    cal = ConformalCalibrator(window=window, beta=beta, mode=mode)
-    cal.seed(y_cal, pred_cal)
-    y_test = np.asarray(y_test, dtype=np.float64)
-    pred_test = np.asarray(pred_test, dtype=np.float64)
+    if window < 1:
+        raise ParameterError(f"window must be >= 1, got {window}")
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(f"beta must be in (0, 1), got {beta}")
+    y_cal, pred_cal, y_test, pred_test = (
+        np.asarray(a, dtype=np.float64) for a in (y_cal, pred_cal, y_test, pred_test))
+    if y_cal.shape != pred_cal.shape:
+        raise DimensionError("calibrate_stream: calibration arrays misaligned")
     if y_test.shape != pred_test.shape:
         raise DimensionError("calibrate_stream: test arrays misaligned")
-    lo = np.empty(len(y_test))
-    hi = np.empty(len(y_test))
-    for t, (y, p) in enumerate(zip(y_test, pred_test)):
-        lo[t], hi[t] = cal.bounds(p)
-        cal.update(y, p)
+    if y_cal.shape[1:] != y_test.shape[1:]:
+        raise DimensionError(
+            f"calibrate_stream: calibration streams {y_cal.shape[1:]} != test {y_test.shape[1:]}")
+    if len(y_cal) == 0:
+        raise ParameterError("calibrate_stream: empty calibration split; nothing seeds the window")
+    for name, a in (("y_cal", y_cal), ("pred_cal", pred_cal),
+                    ("y_test", y_test), ("pred_test", pred_test)):
+        if not np.all(np.isfinite(a)):
+            raise DataError(f"calibrate_stream: non-finite value in {name}")
+    n_cal, n_test = len(y_cal), len(y_test)
+    # streams-major (streams, time): a row mean then sums in the order the
+    # per-stream list mean does, which keeps the bands bit-identical
+    streams_major = lambda a: np.ascontiguousarray(a.reshape(len(a), -1).T)
+    pred = streams_major(np.concatenate([pred_cal, pred_test]))
+    resid = np.abs(streams_major(np.concatenate([y_cal, y_test])) - pred)
+    xi = np.ones_like(resid)
+    for k in range(1, resid.shape[1]):
+        xi[:, k] = resid[:, max(0, k - window) : k].mean(axis=1)
+    xi = np.maximum(xi, _XI_FLOOR)
+    scores = np.zeros_like(resid)  # the first residual has no past scale
+    scores[:, 1:] = resid[:, 1:] / xi[:, 1:]
+    lo = np.empty((len(resid), n_test))
+    hi = np.empty_like(lo)
+    for t, k in enumerate(range(n_cal, n_cal + n_test)):
+        cq = weighted_quantile(scores[:, max(0, k - window) : k], beta, mode)
+        lo[:, t], hi[:, t] = interval(pred[:, k], xi[:, k], cq)
+    lo = lo.T.reshape(y_test.shape)
+    hi = hi.T.reshape(y_test.shape)
     return lo, hi, empirical_coverage(lo, hi, y_test)

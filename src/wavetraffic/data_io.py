@@ -179,7 +179,8 @@ def save_forecasts(path, y, pred, intervals=None):
 def load_forecasts(path):
     """Read :func:`save_forecasts` output back into dense arrays.
 
-    Returns (y, pred, intervals_or_None) with shapes (T, N, steps).
+    Returns (y, pred, intervals_or_None) with shapes (T, N, steps). Every
+    (t, node, step) cell of that grid must appear in exactly one row.
     """
     path = Path(path)
     if not path.exists():
@@ -191,22 +192,26 @@ def load_forecasts(path):
         records = [row for row in reader]
     if not records:
         return (np.zeros((0, 0, 0)),) * 2 + (None,)
-    ts = sorted({int(r[0]) for r in records})
-    ns = sorted({int(r[1]) for r in records})
-    ss = sorted({int(r[2]) for r in records})
-    shape = (len(ts), len(ns), len(ss))
-    y = np.full(shape, np.nan)
-    pred = np.full(shape, np.nan)
-    lo = np.full(shape, np.nan) if has_intervals else None
-    hi = np.full(shape, np.nan) if has_intervals else None
-    t_ix = {v: i for i, v in enumerate(ts)}
-    n_ix = {v: i for i, v in enumerate(ns)}
-    s_ix = {v: i for i, v in enumerate(ss)}
-    for row in records:
-        i, j, k = t_ix[int(row[0])], n_ix[int(row[1])], s_ix[int(row[2])]
-        y[i, j, k] = float(row[3])
-        pred[i, j, k] = float(row[4])
-        if has_intervals:
-            lo[i, j, k] = float(row[5])
-            hi[i, j, k] = float(row[6])
-    return y, pred, ((lo, hi) if has_intervals else None)
+    keys = [np.array([int(r[c]) for r in records]) for c in range(3)]
+    axes, index = zip(*(np.unique(k, return_inverse=True) for k in keys))
+    shape = tuple(len(a) for a in axes)
+    flat = np.ravel_multi_index(index, shape)
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size:
+        row = int(repeats.min())
+        raise DataError(f"{path}: line {row + 2} repeats (t, node, step) "
+                        f"{tuple(int(k[row]) for k in keys)}")
+    if len(ranked) < np.prod(shape):
+        gaps = np.flatnonzero(ranked != np.arange(len(ranked)))
+        cell = np.unravel_index(gaps[0] if gaps.size else len(ranked), shape)
+        raise DataError(f"{path}: no row for (t, node, step) "
+                        f"{tuple(int(a[i]) for a, i in zip(axes, cell))}")
+
+    def column(c):
+        return np.array([float(r[c]) for r in records])[order].reshape(shape)
+
+    if has_intervals:
+        return column(3), column(4), (column(5), column(6))
+    return column(3), column(4), None

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from wavetraffic import conformal as cp
 from wavetraffic import data_io, wavelet
 from wavetraffic.cli import main
 from wavetraffic.model import load_checkpoint
@@ -149,6 +150,40 @@ class TestConformalEvaluateMcb:
         lo, hi, y, covered = body[:, 5], body[:, 6], body[:, 3], body[:, 7]
         assert np.all(lo <= hi)
         np.testing.assert_array_equal(covered, (lo <= y) & (y <= hi))
+
+    def test_conformal_bands_match_per_stream_calibrators(self, forecast_pair, tmp_path):
+        out = tmp_path / "bands.csv"
+        assert main(["conformal", "--calibration", str(forecast_pair / "val.csv"),
+                     "--test", str(forecast_pair / "test.csv"),
+                     "--alpha", "60", "--beta", "0.1", "--out", str(out)]) == 0
+        y_cal, p_cal, _ = data_io.load_forecasts(forecast_pair / "val.csv")
+        y, pred, _ = data_io.load_forecasts(forecast_pair / "test.csv")
+        lines = ["t,node,step,y,pred,lo,hi,covered"]
+        bands = {}
+        for node in range(y.shape[1]):
+            for step in range(y.shape[2]):
+                cal = cp.ConformalCalibrator(window=60, beta=0.1)
+                cal.seed(y_cal[:, node, step], p_cal[:, node, step])
+                for t in range(len(y)):
+                    bands[t, node, step] = cal.bounds(pred[t, node, step])
+                    cal.update(y[t, node, step], pred[t, node, step])
+        for (t, node, step), (lo, hi) in sorted(bands.items()):
+            yy = y[t, node, step]
+            cells = [yy, pred[t, node, step], lo, hi]
+            lines.append(",".join([str(t), str(node), str(step + 1)]
+                                  + [data_io.fmt(v) for v in cells]
+                                  + [str(int(lo <= yy <= hi))]))
+        assert out.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+    def test_conformal_rejects_mismatched_streams(self, forecast_pair, tmp_path, capsys):
+        y, pred, _ = data_io.load_forecasts(forecast_pair / "val.csv")
+        short = tmp_path / "val_short.csv"
+        data_io.save_forecasts(short, y[:, :, :6], pred[:, :, :6])
+        code = main(["conformal", "--calibration", str(short),
+                     "--test", str(forecast_pair / "test.csv"),
+                     "--out", str(tmp_path / "bands.csv")])
+        assert code == 1
+        assert "calibration streams (4, 6) != test (4, 12)" in capsys.readouterr().err
 
     def test_evaluate_output(self, forecast_pair, tmp_path):
         out = tmp_path / "metrics.csv"

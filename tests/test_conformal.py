@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavetraffic import conformal as cf
-from wavetraffic.errors import DimensionError, ParameterError
+from wavetraffic.errors import DataError, DimensionError, ParameterError
 
 
 class TestScore:
@@ -61,6 +61,13 @@ class TestWeightedQuantile:
         scores = [2.0, 4.0]
         assert cf.weighted_quantile(scores, 0.1, mode="literal") == pytest.approx(2.0)
         assert cf.weighted_quantile([0.1, 0.1], 0.1, mode="literal") == math.inf
+
+    @pytest.mark.parametrize("mode", ["order", "literal"])
+    @pytest.mark.parametrize("n", [3, 40, 300])
+    def test_rows_match_one_dimensional_calls(self, mode, n):
+        scores = np.random.default_rng(n).exponential(size=(7, n))
+        expected = [cf.weighted_quantile(row, 0.1, mode) for row in scores]
+        np.testing.assert_array_equal(cf.weighted_quantile(scores, 0.1, mode), expected)
 
     def test_validation(self):
         with pytest.raises(DimensionError):
@@ -189,3 +196,71 @@ class TestCalibrateStream:
             cf.calibrate_stream(np.ones(10), np.ones(9), np.ones(5), np.ones(5))
         with pytest.raises(DimensionError):
             cf.calibrate_stream(np.ones(10), np.ones(10), np.ones(5), np.ones(4))
+
+    @pytest.mark.parametrize("name", ["y_cal", "pred_cal", "y_test", "pred_test"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        arrays = dict(zip(("y_cal", "pred_cal", "y_test", "pred_test"),
+                          self._stream(50, 20)))
+        arrays[name][7] = bad
+        with pytest.raises(DataError, match=name):
+            cf.calibrate_stream(**arrays, window=30)
+
+    def test_empty_calibration_split(self):
+        with pytest.raises(ParameterError):
+            cf.calibrate_stream(np.ones((0, 3, 2)), np.ones((0, 3, 2)),
+                                np.ones((5, 3, 2)), np.ones((5, 3, 2)))
+
+    def test_stream_shapes_must_agree(self):
+        with pytest.raises(DimensionError):
+            cf.calibrate_stream(np.ones((10, 3, 2)), np.ones((10, 3, 2)),
+                                np.ones((5, 3, 4)), np.ones((5, 3, 4)))
+
+
+def _per_stream_bands(y_cal, p_cal, y_test, p_test, **kwargs):
+    """Reference: one ConformalCalibrator per stream, bounds then update in time order."""
+    lo = np.empty_like(y_test)
+    hi = np.empty_like(y_test)
+    for ix in np.ndindex(y_test.shape[1:]):
+        stream = (slice(None),) + ix
+        cal = cf.ConformalCalibrator(**kwargs)
+        cal.seed(y_cal[stream], p_cal[stream])
+        for t in range(len(y_test)):
+            lo[(t,) + ix], hi[(t,) + ix] = cal.bounds(p_test[(t,) + ix])
+            cal.update(y_test[(t,) + ix], p_test[(t,) + ix])
+    return lo, hi
+
+
+class TestBatchedEquivalence:
+    """Banding all streams at once reproduces the per-stream calibrator bit for bit."""
+
+    CASES = {
+        # calibration shorter than the window: windows still filling
+        "partial_window": dict(n_cal=30, n_test=40, streams=(3, 2), window=60),
+        # too few calibration scores for the rank: the first bands are +-inf
+        "infinite_bands": dict(n_cal=2, n_test=30, streams=(2, 3), window=20),
+        # test stream longer than a window past the pairwise-summation block of 128
+        "long_test": dict(n_cal=100, n_test=220, streams=(2, 2), window=150),
+        "single_stream": dict(n_cal=50, n_test=80, streams=(), window=40),
+    }
+
+    @pytest.mark.parametrize("mode", ["order", "literal"])
+    @pytest.mark.parametrize("beta", [0.1, 0.3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_per_stream_calibrator(self, case, beta, mode):
+        spec = self.CASES[case]
+        rng = np.random.default_rng(sorted(self.CASES).index(case))
+        shape = (spec["n_cal"] + spec["n_test"],) + spec["streams"]
+        y = rng.normal(50.0, 5.0, size=shape)
+        # heavy-tailed errors with a per-stream scale spanning four decades
+        scale = 10.0 ** rng.uniform(-2, 2, size=spec["streams"])
+        pred = y + scale * rng.standard_t(3, size=shape)
+        n = spec["n_cal"]
+        kwargs = dict(window=spec["window"], beta=beta, mode=mode)
+        lo, hi, cov = cf.calibrate_stream(y[:n], pred[:n], y[n:], pred[n:], **kwargs)
+        ref_lo, ref_hi = _per_stream_bands(y[:n], pred[:n], y[n:], pred[n:], **kwargs)
+        assert lo.shape == hi.shape == y[n:].shape
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        assert cov == cf.empirical_coverage(ref_lo, ref_hi, y[n:])
+        if case == "infinite_bands" and mode == "order":
+            assert np.isinf(lo[0]).all() and np.isfinite(lo[-1]).all()

@@ -154,6 +154,36 @@ class TestForecastIo:
         with pytest.raises(DataError):
             dio.load_forecasts(tmp_path / "absent.csv")
 
+    def _written_lines(self, tmp_path, seed):
+        y, pred = self._arrays(seed)
+        path = tmp_path / "fc.csv"
+        dio.save_forecasts(path, y, pred)
+        return path, path.read_text().splitlines()
+
+    def test_row_order_does_not_matter(self, tmp_path):
+        path, lines = self._written_lines(tmp_path, 8)
+        y, pred, _ = dio.load_forecasts(path)
+        body = lines[1:]
+        np.random.default_rng(0).shuffle(body)
+        path.write_text("\n".join([lines[0], *body]) + "\n")
+        y2, pred2, _ = dio.load_forecasts(path)
+        np.testing.assert_array_equal(y2, y)
+        np.testing.assert_array_equal(pred2, pred)
+
+    def test_missing_cell_rejected(self, tmp_path):
+        path, lines = self._written_lines(tmp_path, 9)
+        dropped = lines[1 + 40]  # t=1, node=0, step=5
+        assert dropped.startswith("1,0,5,")
+        path.write_text("\n".join(lines[:41] + lines[42:]) + "\n")
+        with pytest.raises(DataError, match=r"no row for \(t, node, step\) \(1, 0, 5\)"):
+            dio.load_forecasts(path)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        path, lines = self._written_lines(tmp_path, 10)
+        path.write_text("\n".join(lines + [lines[3]]) + "\n")
+        with pytest.raises(DataError, match=r"line 218 repeats \(t, node, step\) \(0, 0, 3\)"):
+            dio.load_forecasts(path)
+
 
 class TestFmt:
     def test_twelve_significant_digits(self):
