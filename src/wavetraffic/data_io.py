@@ -186,13 +186,18 @@ def load_forecasts(path):
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_intervals = "lo" in header
-        records = [row for row in reader]
-    if not records:
-        return (np.zeros((0, 0, 0)),) * 2 + (None,)
-    keys = [np.array([int(r[c]) for r in records]) for c in range(3)]
+        has_intervals = "lo" in fh.readline().strip().split(",")
+        start = fh.tell()
+        if not fh.readline():
+            return (np.zeros((0, 0, 0)),) * 2 + (None,)
+        fh.seek(start)
+        names = ["t", "node", "step", "y", "pred"] + (["lo", "hi"] if has_intervals else [])
+        dtype = [(n, np.int64 if i < 3 else np.float64) for i, n in enumerate(names)]
+        try:
+            table = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
+    keys = [table[n] for n in names[:3]]
     axes, index = zip(*(np.unique(k, return_inverse=True) for k in keys))
     shape = tuple(len(a) for a in axes)
     flat = np.ravel_multi_index(index, shape)
@@ -201,7 +206,7 @@ def load_forecasts(path):
     repeats = order[1:][ranked[1:] == ranked[:-1]]
     if repeats.size:
         row = int(repeats.min())
-        raise DataError(f"{path}: line {row + 2} repeats (t, node, step) "
+        raise DataError(f"{path}: row {row + 1} after the header repeats (t, node, step) "
                         f"{tuple(int(k[row]) for k in keys)}")
     if len(ranked) < np.prod(shape):
         gaps = np.flatnonzero(ranked != np.arange(len(ranked)))
@@ -209,9 +214,8 @@ def load_forecasts(path):
         raise DataError(f"{path}: no row for (t, node, step) "
                         f"{tuple(int(a[i]) for a, i in zip(axes, cell))}")
 
-    def column(c):
-        return np.array([float(r[c]) for r in records])[order].reshape(shape)
+    def column(name):
+        return table[name][order].reshape(shape)
 
-    if has_intervals:
-        return column(3), column(4), (column(5), column(6))
-    return column(3), column(4), None
+    intervals = (column("lo"), column("hi")) if has_intervals else None
+    return column("y"), column("pred"), intervals

@@ -181,8 +181,26 @@ class TestForecastIo:
     def test_duplicate_row_rejected(self, tmp_path):
         path, lines = self._written_lines(tmp_path, 10)
         path.write_text("\n".join(lines + [lines[3]]) + "\n")
-        with pytest.raises(DataError, match=r"line 218 repeats \(t, node, step\) \(0, 0, 3\)"):
+        with pytest.raises(DataError, match=r"row 217 after the header repeats \(t, node, step\) \(0, 0, 3\)"):
             dio.load_forecasts(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("0,0,5,1.5,1.5,extra", "columns"),
+        ("0.5,0,5,1.5,1.5", "to int64"),
+        ("0,0,5,x,1.5", "to float64"),
+    ])
+    def test_unparsable_row_rejected(self, tmp_path, line, message):
+        path, lines = self._written_lines(tmp_path, 11)
+        lines[5] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message):
+            dio.load_forecasts(path)
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        path.write_text("t,node,step,y,pred\n")
+        y, pred, intervals = dio.load_forecasts(path)
+        assert y.shape == pred.shape == (0, 0, 0) and intervals is None
 
 
 class TestFmt:
