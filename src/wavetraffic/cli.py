@@ -274,13 +274,10 @@ def _cmd_forecast(args) -> int:
         x = segs[args.segment]
     cfg = model.cfg
     spec = training.WindowSpec(cfg.window, cfg.horizon)
-    inputs, targets = training.make_windows(training.normalize(x, stats), spec)
-    preds = np.concatenate(
-        [model.predict(inputs[lo : lo + 64]) for lo in range(0, len(inputs), 64)]
-    )
-    denorm = lambda a: a * stats.std[None, :, None] + stats.mean[None, :, None]
-    data_io.save_forecasts(args.out, denorm(targets), denorm(preds))
-    print(f"wrote {len(inputs)} x {cfg.nodes} x {cfg.horizon} forecasts to {args.out}")
+    windows = training.make_windows(training.normalize(x, stats), spec)
+    y, pred = training.predict_windows(model, windows, stats)
+    data_io.save_forecasts(args.out, y, pred)
+    print(f"wrote {len(y)} x {cfg.nodes} x {cfg.horizon} forecasts to {args.out}")
     return 0
 
 
@@ -292,16 +289,12 @@ def _cmd_sweep_level(args) -> int:
         model = Model(cfg, bundle, seed=train_cfg.seed)
         result = training.fit(model, tr, va, train_cfg)
         model.graph.load_state(result.best_state)
-        te_x, te_y = te
-        preds = np.concatenate(
-            [model.predict(te_x[lo : lo + 64]) for lo in range(0, len(te_x), 64)]
-        )
-        denorm = lambda a: a * stats.std[None, :, None] + stats.mean[None, :, None]
+        y, pred = training.predict_windows(model, te, stats)
         rows.append({
             "level": level,
-            "mape": evalbench.mape(denorm(te_y), denorm(preds)),
-            "mae": evalbench.mae(denorm(te_y), denorm(preds)),
-            "rmse": evalbench.rmse(denorm(te_y), denorm(preds)),
+            "mape": evalbench.mape(y, pred),
+            "mae": evalbench.mae(y, pred),
+            "rmse": evalbench.rmse(y, pred),
         })
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

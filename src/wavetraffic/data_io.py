@@ -102,6 +102,20 @@ def save_csv(path, x, header=None):
             writer.writerow([fmt(v) for v in x[:, t]])
 
 
+def _synthetic_draws(rng, n_nodes: int):
+    """Per-node phase, amplitude and offset, then a sparse symmetric
+    coupling graph linking each node to one random partner."""
+    phase = rng.uniform(0, DAILY_PERIOD, size=n_nodes)
+    amp = rng.uniform(1.5, 3.0, size=n_nodes)
+    offset = rng.uniform(4.0, 7.0, size=n_nodes)
+    coupling = np.zeros((n_nodes, n_nodes))
+    for i in range(n_nodes):
+        j = int(rng.integers(n_nodes - 1))
+        j = j if j < i else j + 1
+        coupling[i, j] = coupling[j, i] = 1.0
+    return phase, amp, offset, coupling
+
+
 def synthetic(n_nodes: int, n_steps: int, seed: int = 0) -> np.ndarray:
     """Seeded synthetic traffic: daily sinusoids, sparse node coupling,
     Gaussian noise, softplus floor for positivity. Shape (N, 1, M).
@@ -113,20 +127,12 @@ def synthetic(n_nodes: int, n_steps: int, seed: int = 0) -> np.ndarray:
             f"synthetic: need at least {2 * DAILY_PERIOD} steps (two days), got {n_steps}"
         )
     rng = np.random.default_rng(seed)
+    phase, amp, offset, coupling = _synthetic_draws(rng, n_nodes)
     t = np.arange(n_steps)
-    phase = rng.uniform(0, DAILY_PERIOD, size=n_nodes)
-    amp = rng.uniform(1.5, 3.0, size=n_nodes)
-    offset = rng.uniform(4.0, 7.0, size=n_nodes)
     base = (
         offset[:, None]
         + amp[:, None] * np.sin(2 * np.pi * (t[None, :] + phase[:, None]) / DAILY_PERIOD)
     )
-    # sparse symmetric coupling graph: each node linked to one random partner
-    coupling = np.zeros((n_nodes, n_nodes))
-    for i in range(n_nodes):
-        j = int(rng.integers(n_nodes - 1))
-        j = j if j < i else j + 1
-        coupling[i, j] = coupling[j, i] = 1.0
     mixed = base + 0.6 * (coupling @ base) / np.maximum(coupling.sum(1, keepdims=True), 1)
     noisy = mixed + rng.normal(scale=0.15, size=mixed.shape)
     positive = np.logaddexp(0.0, 4.0 * noisy) / 4.0  # softplus floor
@@ -135,16 +141,7 @@ def synthetic(n_nodes: int, n_steps: int, seed: int = 0) -> np.ndarray:
 
 def synthetic_coupling(n_nodes: int, seed: int = 0) -> np.ndarray:
     """The coupling graph :func:`synthetic` would draw for this seed."""
-    rng = np.random.default_rng(seed)
-    rng.uniform(0, DAILY_PERIOD, size=n_nodes)
-    rng.uniform(1.5, 3.0, size=n_nodes)
-    rng.uniform(4.0, 7.0, size=n_nodes)
-    coupling = np.zeros((n_nodes, n_nodes))
-    for i in range(n_nodes):
-        j = int(rng.integers(n_nodes - 1))
-        j = j if j < i else j + 1
-        coupling[i, j] = coupling[j, i] = 1.0
-    return coupling
+    return _synthetic_draws(np.random.default_rng(seed), n_nodes)[3]
 
 
 def save_forecasts(path, y, pred, intervals=None):

@@ -23,7 +23,7 @@ from .errors import DimensionError, ParameterError
 from .graph import GraphBundle
 from .tensor import Graph, Tensor
 
-__all__ = ["ModelConfig", "ResidualAttention", "Model", "save_checkpoint", "load_checkpoint"]
+__all__ = ["ModelConfig", "Model", "save_checkpoint", "load_checkpoint"]
 
 
 @dataclass
@@ -80,39 +80,21 @@ class ModelConfig:
         return self.level + 1 if self.level > 0 else 1
 
 
-class ResidualAttention:
-    """Per-band, per-head time x time attention logits threaded across blocks.
-
-    Each entry broadcasts against the (B, c, M, M) logits of the next
-    block: the initial state is an (M, M) zero bias, and carried states
-    are channel-averaged (B, 1, M, M) stacks.
-    """
-
-    def __init__(self, logits: list[list[Tensor]]):
-        self.logits = logits
-
-    @classmethod
-    def zeros(cls, cfg: ModelConfig) -> "ResidualAttention":
-        m = cfg.window
-        return cls([
-            [T.constant(np.zeros((m, m))) for _ in range(cfg.heads)]
-            for _ in range(cfg.n_components)
-        ])
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([np.stack([h.data for h in comp]) for comp in self.logits])
-
-
 def _uniform(rng, fan_in, shape):
     bound = np.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
 class Model:
-    """Config + parameter registry + forward pass."""
+    """Config + parameter registry + forward pass.
+
+    Wavelet bands (J), attention heads (H) and Chebyshev orders (K) are
+    stacked along the leading axis of each parameter and constant, so
+    every block stage runs as a few batched products.
+    """
 
     def __init__(self, cfg: ModelConfig, bundle: GraphBundle, seed: int = 0,
-                 graph: Graph | None = None, init: bool = True):
+                 graph: Graph | None = None):
         if bundle.cheb.order != cfg.cheb_order:
             raise DimensionError(
                 f"Chebyshev basis order {bundle.cheb.order} != config order {cfg.cheb_order}"
@@ -125,48 +107,52 @@ class Model:
         self.bundle = bundle
         self.graph = graph or Graph()
         if cfg.level > 0:
-            self._mra_ops = wavelet.mra_matrices(cfg.filter_name, cfg.level, cfg.window)
+            ops = wavelet.mra_matrices(cfg.filter_name, cfg.level, cfg.window)
         else:
-            self._mra_ops = [np.eye(cfg.window)]
-        self._cheb = [T.constant(t) for t in bundle.cheb.matrices]
+            ops = [np.eye(cfg.window)]
+        self._mra_ops = T.constant(np.stack(ops))  # (J, M, M)
+        self._cheb = T.constant(np.stack(bundle.cheb.matrices))  # (K, N, N)
         self._mask = T.constant(bundle.strg.mask)
-        if init:
-            self._register_parameters(np.random.default_rng(seed))
+        self._register_parameters(np.random.default_rng(seed))
 
     # -- parameters --------------------------------------------------------
 
     def _register_parameters(self, rng):
         cfg = self.cfg
         g = self.graph
-        n, d, dh = cfg.nodes, cfg.width, cfg.head_width
+        n, d, dh, m = cfg.nodes, cfg.width, cfg.head_width, cfg.window
+        heads, bands, order = cfg.heads, cfg.n_components, cfg.cheb_order
+        sh = d // order
         for b in range(cfg.blocks):
             c_in = cfg.in_channels if b == 0 else cfg.channels
             c_out = cfg.channels
-            for j in range(cfg.n_components):
-                for h in range(cfg.heads):
-                    pre = f"block{b}.wta.comp{j}.head{h}"
-                    g.parameter(f"{pre}.wq", _uniform(rng, n, (n, dh)))
-                    g.parameter(f"{pre}.wk", _uniform(rng, n, (n, dh)))
-                    g.parameter(f"{pre}.wv", _uniform(rng, n, (n, dh)))
-                pre = f"block{b}.wta.comp{j}"
-                g.parameter(f"{pre}.wo", _uniform(rng, d, (d, n)))
-                g.parameter(f"{pre}.fc_w", _uniform(rng, n, (n, n)))
-                g.parameter(f"{pre}.fc_b", np.zeros(n))
-                g.parameter(f"{pre}.ln_gain", np.ones(n))
-                g.parameter(f"{pre}.ln_bias", np.zeros(n))
+            qkv, wo, fc_w = [], [], []
+            for _ in range(bands):
+                qkv.append(_uniform(rng, n, (heads, 3, n, dh)))
+                wo.append(_uniform(rng, d, (d, n)).reshape(heads, dh, n))
+                fc_w.append(_uniform(rng, n, (n, n)))
+            pre = f"block{b}.wta"
+            for name, w in zip(("wq", "wk", "wv"), np.moveaxis(np.stack(qkv), 2, 0)):
+                g.parameter(f"{pre}.{name}", w.copy())  # each (J, H, N, dh)
+            g.parameter(f"{pre}.wo", np.stack(wo))
+            g.parameter(f"{pre}.fc_w", np.stack(fc_w))
+            g.parameter(f"{pre}.fc_b", np.zeros((bands, n)))
+            g.parameter(f"{pre}.ln_gain", np.ones((bands, n)))
+            g.parameter(f"{pre}.ln_bias", np.zeros((bands, n)))
             pre = f"block{b}.sa"
             g.parameter(f"{pre}.collapse_w", _uniform(rng, c_in, (c_in,)))
             g.parameter(f"{pre}.collapse_b", np.zeros(1))
-            g.parameter(f"{pre}.embed_w", _uniform(rng, cfg.window, (cfg.window, d)))
+            g.parameter(f"{pre}.embed_w", _uniform(rng, m, (m, d)))
             g.parameter(f"{pre}.embed_b", np.zeros(d))
-            sh = d // cfg.cheb_order
-            for h in range(cfg.cheb_order):
-                g.parameter(f"{pre}.head{h}.wk", _uniform(rng, d, (d, sh)))
-                g.parameter(f"{pre}.head{h}.wq", _uniform(rng, d, (d, sh)))
-                g.parameter(f"{pre}.head{h}.wm", _uniform(rng, n, (n, n)))
+            kq, wm = [], []
+            for _ in range(order):
+                kq.append(_uniform(rng, d, (2, d, sh)))
+                wm.append(_uniform(rng, n, (n, n)))
+            for name, w in zip(("wk", "wq"), np.moveaxis(np.stack(kq), 1, 0)):
+                g.parameter(f"{pre}.{name}", w.copy())  # each (K, d, sh)
+            g.parameter(f"{pre}.wm", np.stack(wm))
             pre = f"block{b}.gc"
-            for k in range(cfg.cheb_order):
-                g.parameter(f"{pre}.theta{k}", _uniform(rng, c_in, (c_in, c_out)))
+            g.parameter(f"{pre}.theta", _uniform(rng, c_in, (order, c_in, c_out)))
             g.parameter(f"{pre}.bias", np.zeros(c_out))
             pre = f"block{b}.gtu"
             for i, s in enumerate(cfg.kernel_sizes):
@@ -174,11 +160,11 @@ class Model:
                 g.parameter(f"{pre}.kbias{i}", np.zeros(2 * c_out))
             if c_in != c_out:
                 g.parameter(f"{pre}.res_proj", _uniform(rng, c_in, (c_in, c_out)))
-            g.parameter(f"{pre}.ln_gain", np.ones(cfg.window))
-            g.parameter(f"{pre}.ln_bias", np.zeros(cfg.window))
+            g.parameter(f"{pre}.ln_gain", np.ones(m))
+            g.parameter(f"{pre}.ln_bias", np.zeros(m))
         g.parameter("pred.collapse_w", _uniform(rng, cfg.channels, (cfg.channels,)))
         g.parameter("pred.collapse_b", np.zeros(1))
-        g.parameter("pred.time_w", _uniform(rng, cfg.window, (cfg.window, cfg.horizon)))
+        g.parameter("pred.time_w", _uniform(rng, m, (m, cfg.horizon)))
         g.parameter("pred.time_b", np.zeros(cfg.horizon))
 
     def _p(self, name: str) -> Tensor:
@@ -186,95 +172,98 @@ class Model:
 
     # -- block pieces ------------------------------------------------------
 
-    def wavelet_temporal_attention(self, x: Tensor, a_prev: ResidualAttention,
-                                   block: int, identity_f: bool = False,
-                                   collect: list | None = None):
-        """Decompose the window, attend per band, recombine by summation.
+    def wavelet_temporal_attention(self, x: Tensor, a_prev: Tensor, block: int,
+                                   identity_f: bool = False, collect: list | None = None):
+        """Decompose the window, attend per band and head, recombine by summation.
 
-        ``x`` is (B, N, c, M); returns (y of the same shape, updated
-        residual logits). ``identity_f`` is a test hook that skips the
-        attention so the transform round-trip can be checked alone.
+        ``x`` is (B, N, c, M). ``a_prev`` holds the residual time x time
+        logits: an (M, M) zero bias at the first block, then the
+        channel-averaged (J, H, B, 1, M, M) logits of the block before.
+        Returns (y of the same shape as ``x``, updated logits).
+        ``identity_f`` is a test hook that skips the attention so the
+        transform round-trip can be checked alone.
         """
         cfg = self.cfg
-        if len(a_prev.logits) != cfg.n_components:
+        b_sz, n, c, m = x.shape
+        bands, heads, dh = cfg.n_components, cfg.heads, cfg.head_width
+        carried = (bands, heads, b_sz, 1, m, m)
+        if a_prev.shape not in ((m, m), carried):
             raise DimensionError(
-                f"residual attention carries {len(a_prev.logits)} components, "
-                f"expected {cfg.n_components}"
+                f"residual attention logits have shape {a_prev.shape}, "
+                f"expected ({m}, {m}) or {carried}"
             )
-        outputs = []
-        new_logits: list[list[Tensor]] = []
-        scale = 1.0 / np.sqrt(cfg.head_width)
-        for j, op in enumerate(self._mra_ops):
-            comp = T.einsum("bncm,tm->bnct", x, T.constant(op))
-            d_r = comp.transpose((0, 2, 3, 1))  # (B, c, M, N)
-            if identity_f:
-                outputs.append(d_r)
-                new_logits.append(a_prev.logits[j])
-                continue
-            heads = []
-            comp_logits = []
-            for h in range(cfg.heads):
-                pre = f"block{block}.wta.comp{j}.head{h}"
-                q = T.einsum("bcmn,nd->bcmd", d_r, self._p(f"{pre}.wq"))
-                k = T.einsum("bcmn,nd->bcmd", d_r, self._p(f"{pre}.wk"))
-                v = T.einsum("bcmn,nd->bcmd", d_r, self._p(f"{pre}.wv"))
-                logits = T.einsum("bcmd,bcpd->bcmp", q, k) * scale + a_prev.logits[j][h]
-                # carried logits stay per batch element so windows are
-                # processed independently of how they are batched
-                b_sz, m = logits.shape[0], logits.shape[-1]
-                comp_logits.append(logits.mean(axis=1).reshape(b_sz, 1, m, m))
-                attn = T.softmax_last(logits)
-                if collect is not None:
-                    collect.append(attn)
-                heads.append(T.einsum("bcmp,bcpd->bcmd", attn, v))
-            pre = f"block{block}.wta.comp{j}"
-            merged = T.einsum("bcmd,dn->bcmn", T.concat(heads, axis=-1), self._p(f"{pre}.wo"))
-            fc_in = merged + d_r
-            fc = T.einsum("bcmn,np->bcmp", fc_in, self._p(f"{pre}.fc_w")) + self._p(f"{pre}.fc_b")
-            out = T.layer_norm(fc, self._p(f"{pre}.ln_gain"), self._p(f"{pre}.ln_bias"), cfg.eps)
-            outputs.append(out)
-            new_logits.append(comp_logits)
-        combined = outputs[0]
-        for o in outputs[1:]:
-            combined = combined + o
-        return combined.transpose((0, 3, 1, 2)), ResidualAttention(new_logits)
+        ops = self._mra_ops.reshape(bands, 1, 1, m, m)
+        d_r = T.matmul(ops, x.transpose((0, 2, 3, 1)))  # (J, B, c, M, N)
+        if identity_f:
+            return d_r.sum(axis=0).transpose((0, 3, 1, 2)), a_prev
+        pre = f"block{block}.wta"
+        rows = d_r.reshape(bands, 1, b_sz * c * m, n)
 
-    def spatial_attention(self, y: Tensor, block: int) -> list[Tensor]:
-        """Row-stochastic (B, N, N) attention per Chebyshev head."""
+        def project(name):  # (J, 1, B*c*M, N) @ (J, H, N, dh)
+            w = self._p(f"{pre}.{name}")
+            return T.matmul(rows, w).reshape(bands, heads, b_sz, c, m, dh)
+
+        q, k, v = project("wq"), project("wk"), project("wv")
+        logits = T.matmul(q, k.transpose((0, 1, 2, 3, 5, 4))) * (1.0 / np.sqrt(dh)) + a_prev
+        # carried logits stay per batch element so windows are processed
+        # independently of how they are batched
+        new_logits = logits.mean(axis=3, keepdims=True)
+        attn = T.softmax_last(logits)  # (J, H, B, c, M, M)
+        if collect is not None:
+            collect.append(attn)
+        merged = (
+            T.matmul(attn, v)
+            .transpose((0, 2, 3, 4, 1, 5))
+            .reshape(bands, b_sz * c * m, heads * dh)
+        )
+        merged = T.matmul(merged, self._p(f"{pre}.wo").reshape(bands, heads * dh, n))
+        fc_in = merged + rows.reshape(bands, b_sz * c * m, n)
+        fc = T.matmul(fc_in, self._p(f"{pre}.fc_w")) + self._p(f"{pre}.fc_b").reshape(bands, 1, n)
+        out = T.layer_norm(fc, self._p(f"{pre}.ln_gain").reshape(bands, 1, n),
+                           self._p(f"{pre}.ln_bias").reshape(bands, 1, n), cfg.eps)
+        combined = out.sum(axis=0).reshape(b_sz, c, m, n)
+        return combined.transpose((0, 3, 1, 2)), new_logits
+
+    def spatial_attention(self, y: Tensor, block: int) -> Tensor:
+        """Row-stochastic attention per Chebyshev order, stacked (K, B, N, N)."""
         cfg = self.cfg
         pre = f"block{block}.sa"
+        b_sz, n = y.shape[:2]
+        order, sh = cfg.cheb_order, cfg.width // cfg.cheb_order
         y_star = y.transpose((0, 2, 1, 3))  # (B, c, N, M)
         collapsed = (
             T.einsum("bcnm,c->bnm", y_star, self._p(f"{pre}.collapse_w"))
             + self._p(f"{pre}.collapse_b")
         )
         y_e = T.einsum("bnm,md->bnd", collapsed, self._p(f"{pre}.embed_w")) + self._p(f"{pre}.embed_b")
-        bias_scale = 1.0 / np.sqrt(cfg.width // cfg.cheb_order)
-        attn = []
-        for h in range(cfg.cheb_order):
-            hp = f"{pre}.head{h}"
-            kh = T.einsum("bnd,de->bne", y_e, self._p(f"{hp}.wk"))
-            qh = T.einsum("bnd,de->bne", y_e, self._p(f"{hp}.wq"))
-            logits = T.einsum("bne,bpe->bnp", kh, qh) * bias_scale
-            logits = logits + self._p(f"{hp}.wm") * self._mask
-            attn.append(T.softmax_last(logits))
-        return attn
+        rows = y_e.reshape(1, b_sz * n, cfg.width)
+        kh = T.matmul(rows, self._p(f"{pre}.wk")).reshape(order, b_sz, n, sh)
+        qh = T.matmul(rows, self._p(f"{pre}.wq")).reshape(order, b_sz, n, sh)
+        logits = T.matmul(kh, qh.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(sh))
+        logits = logits + self._p(f"{pre}.wm").reshape(order, 1, n, n) * self._mask
+        return T.softmax_last(logits)
 
-    def cheb_graph_conv(self, x: Tensor, attn: list[Tensor], block: int) -> Tensor:
-        """z = sum_k theta_k ((T_k(Lt) * P^(k)) x) over the node axis."""
+    def cheb_graph_conv(self, x: Tensor, attn: Tensor, block: int) -> Tensor:
+        """z = sum_k ((T_k(Lt) * P^(k)) x) theta_k over the node axis.
+
+        ``x`` is (B, N, c, M) and ``attn`` the (K, B, N, N) stack from
+        :meth:`spatial_attention`.
+        """
         cfg = self.cfg
-        if len(attn) != cfg.cheb_order:
+        b_sz, n, c, m = x.shape
+        order = cfg.cheb_order
+        if attn.shape != (order, b_sz, n, n):
             raise DimensionError(
-                f"attention stack has {len(attn)} heads, expected {cfg.cheb_order}"
+                f"attention stack has shape {attn.shape}, expected {(order, b_sz, n, n)}"
             )
-        pre = f"block{block}.gc"
-        z = None
-        for k in range(cfg.cheb_order):
-            gk = self._cheb[k] * attn[k]  # (B, N, N)
-            xg = T.einsum("bij,bjcm->bicm", gk, x)
-            term = T.einsum("bicm,cd->bidm", xg, self._p(f"{pre}.theta{k}"))
-            z = term if z is None else z + term
-        return z + self._p(f"{pre}.bias").reshape(1, 1, cfg.channels, 1)
+        gk = self._cheb.reshape(order, 1, n, n) * attn
+        xg = T.matmul(gk, x.reshape(b_sz, n, c * m))  # (K, B, N, c*M)
+        # one product sums over orders and input channels together
+        xg = xg.reshape(order, b_sz, n, c, m).transpose((1, 2, 4, 0, 3))
+        theta = self._p(f"block{block}.gc.theta").reshape(order * c, cfg.channels)
+        z = T.matmul(xg.reshape(b_sz * n * m, order * c), theta)
+        z = z.reshape(b_sz, n, m, cfg.channels).transpose((0, 1, 3, 2))
+        return z + self._p(f"block{block}.gc.bias").reshape(1, 1, cfg.channels, 1)
 
     def gated_temporal_conv(self, z: Tensor, x_in: Tensor, block: int) -> Tensor:
         """Three gated tanh branches, pooled and concatenated back to M."""
@@ -320,7 +309,7 @@ class Model:
                 f"got {arr.shape}"
             )
         h = x if isinstance(x, Tensor) and not squeeze else T.constant(arr)
-        resid = ResidualAttention.zeros(cfg)
+        resid = T.constant(np.zeros((cfg.window, cfg.window)))
         collected: list[Tensor] = []
         sink = collected if collect_attention else None
         for b in range(cfg.blocks):
@@ -329,7 +318,7 @@ class Model:
             z = self.cheb_graph_conv(y, attn, b)
             h = self.gated_temporal_conv(z, h, b)
             if collect_attention:
-                collected.extend(attn)
+                collected.append(attn)
         pred_in = (
             T.einsum("bncm,c->bnm", h, self._p("pred.collapse_w"))
             + self._p("pred.collapse_b")

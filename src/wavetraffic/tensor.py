@@ -480,11 +480,24 @@ class Graph:
         return {name: p.data.copy() for name, p in self.parameters.items()}
 
     def load_state(self, state: dict[str, np.ndarray]):
+        """Replace every parameter's values; ``state`` must name exactly
+        the registered parameters with their shapes. Nothing is replaced
+        when the check fails."""
+        unknown = sorted(set(state) - set(self.parameters))
+        missing = sorted(set(self.parameters) - set(state))
+        if unknown or missing:
+            problems = []
+            for label, names in (("unknown", unknown), ("missing", missing)):
+                if names:
+                    more = f" and {len(names) - 5} more" if len(names) > 5 else ""
+                    problems.append(f"{len(names)} {label} parameter(s): "
+                                    f"{', '.join(names[:5])}{more}")
+            raise ParameterError(f"load_state: {'; '.join(problems)}")
         for name, value in state.items():
-            p = self.parameters[name]
-            if p.data.shape != np.asarray(value).shape:
+            if self.parameters[name].data.shape != np.shape(value):
                 raise DimensionError(
                     f"load_state: shape mismatch for {name!r}: "
-                    f"{p.data.shape} vs {np.asarray(value).shape}"
+                    f"{self.parameters[name].data.shape} vs {np.shape(value)}"
                 )
-            p.data = np.asarray(value, dtype=np.float64).copy()
+        for name, value in state.items():
+            self.parameters[name].data = np.asarray(value, dtype=np.float64).copy()

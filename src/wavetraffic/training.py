@@ -26,6 +26,7 @@ __all__ = [
     "denormalize",
     "split",
     "make_windows",
+    "predict_windows",
     "fit",
     "FitResult",
 ]
@@ -160,14 +161,15 @@ class FitResult:
     log: list[dict] = field(default_factory=list)
 
 
-def _mean_abs_error(model: Model, inputs, targets, batch_size: int) -> float:
-    total, count = 0.0, 0
-    for lo in range(0, len(inputs), batch_size):
-        pred = model.predict(inputs[lo : lo + batch_size])
-        t = targets[lo : lo + batch_size]
-        total += np.abs(pred - t).sum()
-        count += t.size
-    return total / count
+def predict_windows(model: Model, windows, stats: NormalizationStats):
+    """(targets, predictions) in data units for normalized ``(inputs, targets)``
+    windows from :func:`make_windows`; the model runs 64 windows at a time."""
+    inputs, targets = windows
+    preds = np.concatenate(
+        [model.predict(inputs[lo : lo + 64]) for lo in range(0, len(inputs), 64)]
+    )
+    std, mean = stats.std[None, :, None], stats.mean[None, :, None]
+    return targets * std + mean, preds * std + mean
 
 
 def fit(model: Model, train_windows, val_windows, cfg: TrainConfig = TrainConfig()) -> FitResult:
@@ -202,14 +204,15 @@ def fit(model: Model, train_windows, val_windows, cfg: TrainConfig = TrainConfig
             model.graph.load_state(updated)
             epoch_loss += loss.item()
             n_batches += 1
-        val_loss, val_count = 0.0, 0
+        val_loss, val_abs, val_count = 0.0, 0.0, 0
         for lo in range(0, len(va_x), cfg.batch_size):
             pred = model.predict(va_x[lo : lo + cfg.batch_size])
             chunk = va_y[lo : lo + cfg.batch_size]
             val_loss += _huber_value(pred - chunk, cfg.huber_delta).sum()
+            val_abs += np.abs(pred - chunk).sum()
             val_count += chunk.size
         val_loss /= max(val_count, 1)
-        val_mae = _mean_abs_error(model, va_x, va_y, cfg.batch_size)
+        val_mae = val_abs / max(val_count, 1)
         log.append({
             "epoch": epoch,
             "train_loss": epoch_loss / max(n_batches, 1),

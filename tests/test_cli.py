@@ -6,7 +6,7 @@ import pytest
 from wavetraffic import conformal as cp
 from wavetraffic import data_io, wavelet
 from wavetraffic.cli import main
-from wavetraffic.model import load_checkpoint
+from wavetraffic.model import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,22 @@ class TestTrainAndForecast:
                          "--data", str(data_path), "--segment", "test",
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_forecast_rejects_old_parameter_names(self, trained, dataset, tmp_path, capsys):
+        # checkpoints from before the stacked parameters kept one theta per order
+        cfg, state, extras = load_checkpoint(trained / "checkpoint.bin")
+        theta = state.pop("block0.gc.theta")
+        for k in range(len(theta)):
+            state[f"block0.gc.theta{k}"] = theta[k]
+        old = tmp_path / "old.bin"
+        save_checkpoint(old, cfg, state, extras)
+        data_path, _ = dataset
+        code = main(["forecast", "--checkpoint", str(old), "--data", str(data_path),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "block0.gc.theta0" in err and "missing parameter(s): block0.gc.theta" in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_config_file_with_flag_precedence(self, dataset, tmp_path):
         data_path, _ = dataset

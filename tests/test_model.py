@@ -3,13 +3,7 @@ import pytest
 
 from wavetraffic import tensor as T
 from wavetraffic.errors import DimensionError, ParameterError
-from wavetraffic.model import (
-    Model,
-    ModelConfig,
-    ResidualAttention,
-    load_checkpoint,
-    save_checkpoint,
-)
+from wavetraffic.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from wavetraffic.tensor import Graph, Tensor
 
 
@@ -88,6 +82,33 @@ class TestForward:
         for i in range(4):
             np.testing.assert_allclose(toy_model.predict(x[i]), full[i], atol=1e-12)
 
+    def test_forward_matches_looped_model(self, toy_model):
+        # values of the model that looped over bands, heads and orders
+        # with one parameter each, at the same seed and input
+        out = toy_model.predict(np.random.default_rng(0).normal(size=(3, 4, 1, 12)))
+        assert abs(out.sum() - 1.3152262538626904) < 1e-12
+        np.testing.assert_allclose(
+            out[0, 0, :3], [-0.1922703580145531, 0.09814262059019592, 0.4309956655653309],
+            rtol=0, atol=1e-12,
+        )
+        assert abs(out[2, 3, -1] - 0.46704851173331097) < 1e-12
+
+    def test_stacked_parameter_shapes(self, toy_model):
+        cfg = toy_model.cfg
+        j, h, n, dh, k = cfg.n_components, cfg.heads, cfg.nodes, cfg.head_width, cfg.cheb_order
+        shapes = {name: p.shape for name, p in toy_model.graph.parameters.items()}
+        for w in ("wq", "wk", "wv"):
+            assert shapes[f"block0.wta.{w}"] == (j, h, n, dh)
+        assert shapes["block0.wta.wo"] == (j, h, dh, n)
+        assert shapes["block0.wta.fc_w"] == (j, n, n)
+        for w in ("fc_b", "ln_gain", "ln_bias"):
+            assert shapes[f"block0.wta.{w}"] == (j, n)
+        for w in ("wk", "wq"):
+            assert shapes[f"block0.sa.{w}"] == (k, cfg.width, cfg.width // k)
+        assert shapes["block0.sa.wm"] == (k, n, n)
+        assert shapes["block0.gc.theta"] == (k, cfg.in_channels, cfg.channels)
+        assert shapes["block1.gc.theta"] == (k, cfg.channels, cfg.channels)
+
     def test_seed_controls_initialization(self, toy_setup):
         cfg, bundle = toy_setup
         x = _window_batch(cfg, seed=4)
@@ -109,19 +130,22 @@ class TestAttentionProperties:
             assert np.all(attn.data >= 0.0)
 
     def test_collected_count(self, toy_model):
+        # one temporal stack (J, H, B, c, M, M) and one spatial stack
+        # (K, B, N, N) per block
         cfg = toy_model.cfg
         _, collected = toy_model.forward(_window_batch(cfg, seed=6), collect_attention=True)
-        expected = cfg.blocks * (cfg.n_components * cfg.heads + cfg.cheb_order)
-        assert len(collected) == expected
+        assert len(collected) == 2 * cfg.blocks
+        m, n = cfg.window, cfg.nodes
+        assert collected[0].shape == (cfg.n_components, cfg.heads, 3, cfg.in_channels, m, m)
+        assert collected[1].shape == (cfg.cheb_order, 3, n, n)
 
     def test_residual_logits_thread_between_blocks(self, toy_model):
         cfg = toy_model.cfg
         x = T.constant(_window_batch(cfg, seed=7))
-        zero = ResidualAttention.zeros(cfg)
+        zero = T.constant(np.zeros((cfg.window, cfg.window)))
         _, first = toy_model.wavelet_temporal_attention(x, zero, 0)
-        assert first.as_array().shape == (cfg.n_components, cfg.heads,
-                                          3, 1, cfg.window, cfg.window)
-        assert np.any(first.as_array() != 0.0)
+        assert first.shape == (cfg.n_components, cfg.heads, 3, 1, cfg.window, cfg.window)
+        assert np.any(first.data != 0.0)
         # feeding the carried logits into the next block changes its output
         y_zero, _ = toy_model.wavelet_temporal_attention(x, zero, 1)
         y_carried, _ = toy_model.wavelet_temporal_attention(x, first, 1)
@@ -129,7 +153,8 @@ class TestAttentionProperties:
 
     def test_component_mismatch_rejected(self, toy_model):
         cfg = toy_model.cfg
-        bad = ResidualAttention([[T.constant(np.zeros((cfg.window, cfg.window)))]])
+        m = cfg.window
+        bad = T.constant(np.zeros((1, cfg.heads, 3, 1, m, m)))
         with pytest.raises(DimensionError):
             toy_model.wavelet_temporal_attention(
                 T.constant(_window_batch(cfg, seed=8)), bad, 0
@@ -139,9 +164,8 @@ class TestAttentionProperties:
         # with attention skipped the band decomposition must sum back to x
         cfg = toy_model.cfg
         x = T.constant(_window_batch(cfg, seed=9))
-        y, _ = toy_model.wavelet_temporal_attention(
-            x, ResidualAttention.zeros(cfg), 0, identity_f=True
-        )
+        zero = T.constant(np.zeros((cfg.window, cfg.window)))
+        y, _ = toy_model.wavelet_temporal_attention(x, zero, 0, identity_f=True)
         np.testing.assert_allclose(y.data, x.data, atol=1e-10)
 
 
@@ -149,23 +173,25 @@ class TestChebGraphConv:
     def test_uniform_attention_matches_direct_sum(self, toy_model):
         cfg = toy_model.cfg
         n = cfg.nodes
-        x = T.constant(np.random.default_rng(10).normal(size=(2, n, cfg.channels, cfg.window)))
-        attn = [T.constant(np.full((2, n, n), 1.0 / n)) for _ in range(cfg.cheb_order)]
+        # block 0 maps the input channels to the model channels
+        x = T.constant(np.random.default_rng(10).normal(size=(2, n, cfg.in_channels, cfg.window)))
+        attn = T.constant(np.full((cfg.cheb_order, 2, n, n), 1.0 / n))
         out = toy_model.cheb_graph_conv(x, attn, 0).data
         # direct dense evaluation oracle
         expected = np.zeros((2, n, cfg.channels, cfg.window))
+        theta = toy_model.graph.parameters["block0.gc.theta"].data
         for k in range(cfg.cheb_order):
             gk = toy_model.bundle.cheb.matrices[k] * (1.0 / n)
-            theta = toy_model.graph.parameters[f"block0.gc.theta{k}"].data
-            expected += np.einsum("ij,bjcm,cd->bidm", gk, x.data, theta)
+            expected += np.einsum("ij,bjcm,cd->bidm", gk, x.data, theta[k])
         expected += toy_model.graph.parameters["block0.gc.bias"].data.reshape(1, 1, -1, 1)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_head_count_validated(self, toy_model):
         cfg = toy_model.cfg
-        x = T.constant(np.zeros((1, cfg.nodes, cfg.channels, cfg.window)))
+        n = cfg.nodes
+        x = T.constant(np.zeros((1, n, cfg.channels, cfg.window)))
         with pytest.raises(DimensionError):
-            toy_model.cheb_graph_conv(x, [], 0)
+            toy_model.cheb_graph_conv(x, T.constant(np.zeros((cfg.cheb_order - 1, 1, n, n))), 0)
 
 
 class TestLevelZero:
@@ -174,8 +200,8 @@ class TestLevelZero:
         from dataclasses import replace
 
         flat = Model(replace(cfg, level=0), bundle, seed=11)
-        assert len(flat._mra_ops) == 1
-        np.testing.assert_array_equal(flat._mra_ops[0], np.eye(cfg.window))
+        assert flat._mra_ops.shape == (1, cfg.window, cfg.window)
+        np.testing.assert_array_equal(flat._mra_ops.data[0], np.eye(cfg.window))
         out = flat.predict(_window_batch(cfg, seed=12))
         assert out.shape == (3, cfg.nodes, cfg.horizon)
 
@@ -207,10 +233,10 @@ class TestGradientsFlowEverywhere:
         grads = toy_model.graph.backward(loss)
         # spot-check one representative parameter from each block stage
         for name in [
-            "block0.wta.comp0.head0.wq",
-            "block0.wta.comp2.wo",
-            "block0.sa.head1.wm",
-            "block0.gc.theta1",
+            "block0.wta.wq",
+            "block0.wta.wo",
+            "block0.sa.wm",
+            "block0.gc.theta",
             "block0.gtu.kernel0",
             "block1.gtu.res_proj" if "block1.gtu.res_proj" in grads else "block1.gc.bias",
             "pred.time_w",

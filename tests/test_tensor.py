@@ -224,3 +224,35 @@ class TestPurity:
         a = T.softmax_last(T.matmul(x, x)).data
         b = T.softmax_last(T.matmul(x, x)).data
         assert np.array_equal(a, b)
+
+
+class TestLoadState:
+    def _graph(self):
+        g = Graph()
+        g.parameter("a", np.zeros(2))
+        g.parameter("b", np.zeros(3))
+        return g
+
+    def test_round_trip(self):
+        g = self._graph()
+        g.load_state({"a": np.array([1.0, 2.0]), "b": np.ones(3)})
+        np.testing.assert_array_equal(g.parameters["a"].data, [1.0, 2.0])
+
+    def test_unknown_name_rejected(self):
+        g = self._graph()
+        with pytest.raises(ParameterError, match=r"1 unknown parameter\(s\): c$"):
+            g.load_state({"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)})
+        np.testing.assert_array_equal(g.parameters["a"].data, np.zeros(2))
+
+    def test_missing_name_rejected(self):
+        # a partial state would leave the missing parameter at its old values
+        g = self._graph()
+        with pytest.raises(ParameterError, match=r"1 missing parameter\(s\): b$"):
+            g.load_state({"a": np.ones(2)})
+        np.testing.assert_array_equal(g.parameters["a"].data, np.zeros(2))
+
+    def test_shape_mismatch_replaces_nothing(self):
+        g = self._graph()
+        with pytest.raises(DimensionError, match="'b'"):
+            g.load_state({"a": np.ones(2), "b": np.ones(4)})
+        np.testing.assert_array_equal(g.parameters["a"].data, np.zeros(2))

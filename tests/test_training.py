@@ -160,6 +160,32 @@ class TestFit:
         val = tr._huber_value(probe.predict(va_x) - va_y, 1.0).mean()
         assert val == pytest.approx(best_logged, rel=1e-9)
 
+    def test_one_validation_pass_per_epoch(self, toy_setup_module, monkeypatch):
+        cfg, bundle, (x, y) = toy_setup_module
+        calls = []
+        real = Model.predict
+
+        def spy(self, inputs):
+            calls.append(len(inputs))
+            return real(self, inputs)
+
+        monkeypatch.setattr(Model, "predict", spy)
+        va = (x[:37], y[:37])
+        result = tr.fit(Model(cfg, bundle, seed=3), (x, y), va,
+                        tr.TrainConfig(epochs=2, lr=1e-3, batch_size=16))
+        assert len(calls) == 2 * int(np.ceil(37 / 16))
+        assert sum(calls) == 2 * 37
+        assert all(np.isfinite(row["val_mae"]) for row in result.log)
+
+    def test_predict_windows_in_data_units(self, toy_fit, toy_setup_module):
+        model, _ = toy_fit
+        _, _, (x, y) = toy_setup_module
+        stats = tr.NormalizationStats(mean=np.arange(1.0, 5.0), std=np.full(4, 2.0))
+        y_data, pred_data = tr.predict_windows(model, (x[:70], y[:70]), stats)
+        np.testing.assert_array_equal(y_data, y[:70] * 2.0 + np.arange(1.0, 5.0)[:, None])
+        np.testing.assert_allclose(pred_data, model.predict(x[:70]) * 2.0
+                                   + np.arange(1.0, 5.0)[:, None], rtol=0, atol=1e-12)
+
     def test_deterministic_given_seed(self, toy_setup_module):
         cfg, bundle, windows = toy_setup_module
 
