@@ -17,18 +17,13 @@ import numpy as np
 from . import conformal as cp
 from . import data_io, evalbench, training, wavelet
 from .errors import DataError, ParameterError, WavetrafficError
-from .graph import build_graph_bundle, chebyshev_basis, scaled_laplacian
+from .graph import (
+    GraphBundle, StadMatrix, StrgMask, build_graph_bundle, chebyshev_basis, scaled_laplacian,
+)
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .tensor import Graph
 
 __all__ = ["main", "build_parser"]
-
-
-def _write_matrix(path, mat):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(mat):
-            writer.writerow([data_io.fmt(v) for v in row])
 
 
 def _read_config_file(path) -> dict:
@@ -190,9 +185,9 @@ def _cmd_build_graph(args) -> int:
     bundle = build_graph_bundle(_stad_input(x, args.stad_window), p_sp=args.p_sp)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_matrix(out / "a_stad.csv", bundle.stad.adjacency)
-    _write_matrix(out / "a_strg.csv", bundle.strg.mask)
-    _write_matrix(out / "a_stag.csv", bundle.a_stag)
+    data_io.save_table(out / "a_stad.csv", bundle.stad.adjacency)
+    data_io.save_table(out / "a_strg.csv", bundle.strg.mask)
+    data_io.save_table(out / "a_stag.csv", bundle.a_stag)
     print(f"wrote a_stad.csv, a_strg.csv, a_stag.csv to {out}")
     return 0
 
@@ -225,17 +220,6 @@ def _checkpoint_extras(stats, bundle):
     }
 
 
-def _write_log(path, log):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "val_mae", "wall_seconds"])
-        for row in log:
-            writer.writerow([
-                row["epoch"], data_io.fmt(row["train_loss"]), data_io.fmt(row["val_loss"]),
-                data_io.fmt(row["val_mae"]), data_io.fmt(row["wall_seconds"]),
-            ])
-
-
 def _cmd_train(args) -> int:
     cfg, bundle, stats, train_cfg, (tr, va, _te) = _prepare_training(args)
     model = Model(cfg, bundle, seed=train_cfg.seed)
@@ -244,7 +228,9 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.bin", cfg, result.best_state,
                     extras=_checkpoint_extras(stats, bundle))
-    _write_log(out / "log.csv", result.log)
+    columns = ["epoch", "train_loss", "val_loss", "val_mae", "wall_seconds"]
+    log = [[row[key] for key in columns] for row in result.log]
+    data_io.save_table(out / "log.csv", np.reshape(log, (-1, len(columns))), header=columns)
     print(f"trained {train_cfg.epochs} epochs; checkpoint and log written to {out}")
     return 0
 
@@ -252,8 +238,6 @@ def _cmd_train(args) -> int:
 def _model_from_checkpoint(path):
     cfg, state, extras = load_checkpoint(path)
     stats = training.NormalizationStats(mean=extras["norm_mean"], std=extras["norm_std"])
-    from .graph import GraphBundle, StadMatrix, StrgMask  # locals to avoid cycle noise
-
     stad = StadMatrix(adjacency=extras["a_stad"], distances=1.0 - extras["a_stad"])
     mask = extras["strg_mask"]
     strg = StrgMask(mask=mask, n_keep=int(mask[0].sum()), sparsity=float("nan"))
@@ -290,18 +274,9 @@ def _cmd_sweep_level(args) -> int:
         result = training.fit(model, tr, va, train_cfg)
         model.graph.load_state(result.best_state)
         y, pred = training.predict_windows(model, te, stats)
-        rows.append({
-            "level": level,
-            "mape": evalbench.mape(y, pred),
-            "mae": evalbench.mae(y, pred),
-            "rmse": evalbench.rmse(y, pred),
-        })
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "mape", "mae", "rmse"])
-        for row in rows:
-            writer.writerow([row["level"], data_io.fmt(row["mape"]),
-                             data_io.fmt(row["mae"]), data_io.fmt(row["rmse"])])
+        rows.append([level, evalbench.mape(y, pred), evalbench.mae(y, pred),
+                     evalbench.rmse(y, pred)])
+    data_io.save_table(args.out, rows, header=["level", "mape", "mae", "rmse"])
     print(f"wrote {len(rows)}-row level sweep to {args.out}")
     return 0
 
@@ -312,22 +287,8 @@ def _cmd_conformal(args) -> int:
     lo, hi, _cov = cp.calibrate_stream(y_cal, pred_cal, y_test, pred_test,
                                        window=args.alpha, beta=args.beta,
                                        mode=args.quantile_mode)
-    _t, n_nodes, n_steps = y_test.shape
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "step", "y", "pred", "lo", "hi", "covered"])
-        for t in range(y_test.shape[0]):
-            for node in range(n_nodes):
-                for step in range(n_steps):
-                    yy = y_test[t, node, step]
-                    covered = int(lo[t, node, step] <= yy <= hi[t, node, step])
-                    writer.writerow([
-                        t, node, step + 1, data_io.fmt(yy),
-                        data_io.fmt(pred_test[t, node, step]),
-                        data_io.fmt(lo[t, node, step]), data_io.fmt(hi[t, node, step]),
-                        covered,
-                    ])
-    for step in range(n_steps):
+    data_io.save_forecasts(args.out, y_test, pred_test, intervals=(lo, hi))
+    for step in range(y_test.shape[2]):
         cov = cp.empirical_coverage(lo[:, :, step], hi[:, :, step], y_test[:, :, step])
         print(f"step {step + 1}: empirical coverage {cov:.4f}")
     return 0
@@ -335,15 +296,15 @@ def _cmd_conformal(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     y, pred, _ = data_io.load_forecasts(args.forecasts)
-    step_mae = evalbench.stepwise_errors(y, pred, "mae")
+    overall = {name: getattr(evalbench, name)(y, pred) for name in ("mae", "mape", "rmse")}
+    steps = {name: evalbench.stepwise_errors(y, pred, name) for name in overall}
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "overall"] + [f"step{s+1}" for s in range(y.shape[-1])])
-        for name in ("mae", "mape", "rmse"):
-            fn = getattr(evalbench, name)
-            steps = evalbench.stepwise_errors(y, pred, name)
-            writer.writerow([name, data_io.fmt(fn(y, pred))] + [data_io.fmt(v) for v in steps])
-    print(f"MAE {evalbench.mae(y, pred):.6g} over {y.size} points "
+        for name, value in overall.items():
+            writer.writerow([name, data_io.fmt(value)] + [data_io.fmt(v) for v in steps[name]])
+    step_mae = steps["mae"]
+    print(f"MAE {overall['mae']:.6g} over {y.size} points "
           f"(stepwise MAE {step_mae[0]:.6g}..{step_mae[-1]:.6g}); wrote {args.out}")
     return 0
 

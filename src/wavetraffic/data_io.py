@@ -1,7 +1,7 @@
 """CSV ingestion and output plus the seeded synthetic traffic generator.
 
-All numeric output uses 12 significant digits so save/load round trips
-are value-exact at that precision.
+Every numeric CSV is written by :func:`save_table`: 12 significant digits
+per cell, so save/load round trips are value-exact at that precision.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, DimensionError, ParameterError
 
 __all__ = [
     "DatasetDescriptor",
     "load_csv",
     "save_csv",
+    "save_table",
     "synthetic",
     "synthetic_coupling",
     "save_forecasts",
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 DAILY_PERIOD = 288  # 5-minute steps per day
+_BLOCK_ROWS = 4096  # rows formatted per write, bounding the text held at once
 
 
 def fmt(x: float) -> str:
@@ -88,18 +90,32 @@ def load_csv(path, granularity_minutes: int = 5):
     return data, desc
 
 
+def save_table(path, table, header=None):
+    """Write a 2-D numeric array as CSV rows ended by ``\\r\\n``.
+
+    Every cell is written as ``%.12g``, the text :func:`fmt` gives, so
+    integer-valued cells below 1e12 print as plain integers. The optional
+    header row goes through ``csv.writer``, which quotes names as needed.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise DimensionError(f"save_table: need a 2-D table, got shape {table.shape}")
+    row = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            csv.writer(fh).writerow(header)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS].tolist()
+            fh.write("".join([row % tuple(cells) for cells in block]))
+
+
 def save_csv(path, x, header=None):
     """Write a (N, M) or (N, 1, M) tensor as a sensors-as-columns CSV."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x[:, 0, :]
-    n = x.shape[0]
-    header = header or [f"sensor_{i}" for i in range(n)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(x.shape[1]):
-            writer.writerow([fmt(v) for v in x[:, t]])
+    header = header or [f"sensor_{i}" for i in range(x.shape[0])]
+    save_table(path, x.T, header=header)
 
 
 def _synthetic_draws(rng, n_nodes: int):
@@ -145,50 +161,47 @@ def synthetic_coupling(n_nodes: int, seed: int = 0) -> np.ndarray:
 
 
 def save_forecasts(path, y, pred, intervals=None):
-    """Write long-format forecasts: t, node, step, y, pred[, lo, hi].
+    """Write long-format forecasts: t, node, step, y, pred[, lo, hi, covered].
 
     ``y`` and ``pred`` are (T, N, steps); ``intervals`` is an optional
-    (lo, hi) pair of the same shape.
+    (lo, hi) pair of the same shape, written with a 0/1 ``covered`` column
+    that is 1 where lo <= y <= hi. Steps are one-based.
     """
     y = np.asarray(y, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     if y.shape != pred.shape or y.ndim != 3:
         raise DataError(f"save_forecasts: misaligned shapes {y.shape} vs {pred.shape}")
+    header = ["t", "node", "step", "y", "pred"]
+    columns = [y, pred]
     if intervals is not None:
         lo, hi = (np.asarray(a, dtype=np.float64) for a in intervals)
         if lo.shape != y.shape or hi.shape != y.shape:
             raise DataError("save_forecasts: interval shapes misaligned")
-    header = ["t", "node", "step", "y", "pred"]
-    if intervals is not None:
-        header += ["lo", "hi"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(y.shape[0]):
-            for n in range(y.shape[1]):
-                for s in range(y.shape[2]):
-                    row = [t, n, s + 1, fmt(y[t, n, s]), fmt(pred[t, n, s])]
-                    if intervals is not None:
-                        row += [fmt(lo[t, n, s]), fmt(hi[t, n, s])]
-                    writer.writerow(row)
+        header += ["lo", "hi", "covered"]
+        columns += [lo, hi, (lo <= y) & (y <= hi)]
+    keys = np.indices(y.shape).reshape(3, -1).T + [0, 0, 1]
+    save_table(path, np.column_stack([keys] + [c.ravel() for c in columns]), header=header)
 
 
 def load_forecasts(path):
     """Read :func:`save_forecasts` output back into dense arrays.
 
     Returns (y, pred, intervals_or_None) with shapes (T, N, steps). Every
-    (t, node, step) cell of that grid must appear in exactly one row.
+    (t, node, step) cell of that grid must appear in exactly one row. A
+    ``covered`` column is read and ignored.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="") as fh:
-        has_intervals = "lo" in fh.readline().strip().split(",")
+        header = fh.readline().strip().split(",")
+        has_intervals = "lo" in header
         start = fh.tell()
         if not fh.readline():
             return (np.zeros((0, 0, 0)),) * 2 + (None,)
         fh.seek(start)
         names = ["t", "node", "step", "y", "pred"] + (["lo", "hi"] if has_intervals else [])
+        names += ["covered"] if "covered" in header else []
         dtype = [(n, np.int64 if i < 3 else np.float64) for i, n in enumerate(names)]
         try:
             table = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)

@@ -138,32 +138,12 @@ def build_stag(stad: StadMatrix, strg: StrgMask) -> np.ndarray:
     return np.maximum(masked, masked.T)
 
 
-def _power_iteration(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 100000) -> float:
-    rng = np.random.default_rng(12345)
-    v = rng.normal(size=mat.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float(v @ mat @ v)
-        # residual gives an a-posteriori bound on the eigenvalue error
-        residual = float(np.linalg.norm(mat @ v - new * v))
-        if abs(new - lam) <= tol * max(abs(new), 1.0) and residual <= 1e-7 * max(abs(new), 1.0):
-            return new
-        lam = new
-    return lam
-
-
 def scaled_laplacian(a_stag) -> ScaledLaplacian:
     """Scale L = D - A so its spectrum fits in [-1, 1] for Chebyshev use.
 
-    lambda_max comes from power iteration; an edgeless graph falls back
-    to lambda_max = 2 (the classical normalized bound) to avoid a zero
-    division.
+    lambda_max is the largest eigenvalue from the dense symmetric
+    eigensolver; an edgeless graph falls back to lambda_max = 2 (the
+    classical normalized bound) to avoid a zero division.
     """
     a = np.asarray(a_stag, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -178,7 +158,7 @@ def scaled_laplacian(a_stag) -> ScaledLaplacian:
         raise ParameterError("scaled_laplacian: adjacency entries must be nonnegative")
     degrees = a.sum(axis=1)
     lap = np.diag(degrees) - a
-    lam = _power_iteration(lap)
+    lam = float(np.linalg.eigvalsh(lap).max(initial=0.0))
     if lam < 1e-12:
         lam = 2.0
     n = a.shape[0]

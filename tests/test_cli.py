@@ -191,6 +191,21 @@ class TestConformalEvaluateMcb:
                                   + [str(int(lo <= yy <= hi))]))
         assert out.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
+    def test_load_forecasts_reads_bands(self, forecast_pair, tmp_path):
+        out = tmp_path / "bands.csv"
+        assert main(["conformal", "--calibration", str(forecast_pair / "val.csv"),
+                     "--test", str(forecast_pair / "test.csv"),
+                     "--alpha", "60", "--beta", "0.1", "--out", str(out)]) == 0
+        y_cal, p_cal, _ = data_io.load_forecasts(forecast_pair / "val.csv")
+        y, pred, _ = data_io.load_forecasts(forecast_pair / "test.csv")
+        lo, hi, _ = cp.calibrate_stream(y_cal, p_cal, y, pred, window=60, beta=0.1)
+        y2, pred2, intervals = data_io.load_forecasts(out)
+        np.testing.assert_array_equal(y2, y)
+        np.testing.assert_array_equal(pred2, pred)
+        twelve_digits = np.vectorize(data_io.fmt)
+        for got, want in zip(intervals, (lo, hi)):
+            np.testing.assert_array_equal(twelve_digits(got), twelve_digits(want))
+
     def test_conformal_rejects_mismatched_streams(self, forecast_pair, tmp_path, capsys):
         y, pred, _ = data_io.load_forecasts(forecast_pair / "val.csv")
         short = tmp_path / "val_short.csv"

@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from wavetraffic import data_io as dio
-from wavetraffic.errors import DataError, ParameterError
+from wavetraffic.errors import DataError, DimensionError, ParameterError
 
 
 class TestCsvRoundTrip:
@@ -201,6 +203,28 @@ class TestForecastIo:
         path.write_text("t,node,step,y,pred\n")
         y, pred, intervals = dio.load_forecasts(path)
         assert y.shape == pred.shape == (0, 0, 0) and intervals is None
+
+
+class TestSaveTable:
+    @pytest.mark.parametrize("header", [None, ["a,b", 'c"d', "plain"]])
+    def test_bytes_match_csv_writer_reference(self, tmp_path, header):
+        rng = np.random.default_rng(12)
+        table = rng.normal(0, 100, size=(dio._BLOCK_ROWS + 37, 3))
+        special = [-0.0, np.inf, -np.inf, np.nan, 1e-300, 1.5e17, 0.0, -3.0, 999999999999.0]
+        table[:len(special), 0] = special
+        table[:, 2] = np.arange(len(table)) - 5  # integer-valued cells
+        dio.save_table(tmp_path / "table.csv", table, header=header)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            if header is not None:
+                writer.writerow(header)
+            for a, b, n in table:
+                writer.writerow([dio.fmt(a), dio.fmt(b), str(int(n))])
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_needs_two_dimensions(self, tmp_path):
+        with pytest.raises(DimensionError):
+            dio.save_table(tmp_path / "x.csv", np.zeros(3))
 
 
 class TestFmt:
