@@ -160,6 +160,9 @@ def synthetic_coupling(n_nodes: int, seed: int = 0) -> np.ndarray:
     return _synthetic_draws(np.random.default_rng(seed), n_nodes)[3]
 
 
+_FORECAST_COLUMNS = ["t", "node", "step", "y", "pred", "lo", "hi", "covered"]
+
+
 def save_forecasts(path, y, pred, intervals=None):
     """Write long-format forecasts: t, node, step, y, pred[, lo, hi, covered].
 
@@ -171,13 +174,13 @@ def save_forecasts(path, y, pred, intervals=None):
     pred = np.asarray(pred, dtype=np.float64)
     if y.shape != pred.shape or y.ndim != 3:
         raise DataError(f"save_forecasts: misaligned shapes {y.shape} vs {pred.shape}")
-    header = ["t", "node", "step", "y", "pred"]
+    header = _FORECAST_COLUMNS[:5]
     columns = [y, pred]
     if intervals is not None:
         lo, hi = (np.asarray(a, dtype=np.float64) for a in intervals)
         if lo.shape != y.shape or hi.shape != y.shape:
             raise DataError("save_forecasts: interval shapes misaligned")
-        header += ["lo", "hi", "covered"]
+        header = _FORECAST_COLUMNS
         columns += [lo, hi, (lo <= y) & (y <= hi)]
     keys = np.indices(y.shape).reshape(3, -1).T + [0, 0, 1]
     save_table(path, np.column_stack([keys] + [c.ravel() for c in columns]), header=header)
@@ -186,7 +189,9 @@ def save_forecasts(path, y, pred, intervals=None):
 def load_forecasts(path):
     """Read :func:`save_forecasts` output back into dense arrays.
 
-    Returns (y, pred, intervals_or_None) with shapes (T, N, steps). Every
+    Returns (y, pred, intervals_or_None) with shapes (T, N, steps). The
+    header must be the first 5, 7 or 8 of ``t,node,step,y,pred,lo,hi,covered``
+    (7 is the band layout before ``covered`` was added). Every
     (t, node, step) cell of that grid must appear in exactly one row. A
     ``covered`` column is read and ignored.
     """
@@ -194,14 +199,16 @@ def load_forecasts(path):
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-        has_intervals = "lo" in header
+        line = fh.readline().strip()
+        names = line.split(",")
+        if len(names) not in (5, 7, 8) or names != _FORECAST_COLUMNS[: len(names)]:
+            raise DataError(f"{path}: header {line!r} is not "
+                            f"{','.join(_FORECAST_COLUMNS)} or its first 5 or 7 columns")
+        has_intervals = len(names) > 5
         start = fh.tell()
         if not fh.readline():
             return (np.zeros((0, 0, 0)),) * 2 + (None,)
         fh.seek(start)
-        names = ["t", "node", "step", "y", "pred"] + (["lo", "hi"] if has_intervals else [])
-        names += ["covered"] if "covered" in header else []
         dtype = [(n, np.int64 if i < 3 else np.float64) for i, n in enumerate(names)]
         try:
             table = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)

@@ -331,7 +331,8 @@ class Model:
         return out
 
     def predict(self, x) -> np.ndarray:
-        return self.forward(x).data.copy()
+        with T.no_grad():
+            return self.forward(x).data
 
 
 # -- checkpointing ---------------------------------------------------------

@@ -3,10 +3,14 @@
 Every operation builds a dynamic graph of ``Tensor`` nodes; calling
 ``Graph.backward`` on a scalar loss walks the graph once in reverse
 topological order and accumulates gradients into every node that
-requires them. All arithmetic is float64 and fully deterministic.
+requires them. Inside ``no_grad()`` operations record no graph. All
+arithmetic is float64 and fully deterministic.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -15,6 +19,7 @@ from .errors import DimensionError, ParameterError
 __all__ = [
     "Tensor",
     "Graph",
+    "no_grad",
     "constant",
     "matmul",
     "einsum",
@@ -28,6 +33,28 @@ __all__ = [
     "concat",
     "huber_loss",
 ]
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph while active: results get no parents and no backward.
+
+    For inference, where nothing calls ``Graph.backward``. The mode is per
+    thread and is restored on exit, also when the block raises.
+    """
+    saved = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = saved
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -78,7 +105,7 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -86,8 +113,10 @@ class Tensor:
 
     def _accumulate(self, grad):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy: several parents may be handed views of one array
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     # -- arithmetic --------------------------------------------------------
 
@@ -327,14 +356,32 @@ def softmax_last(t: Tensor) -> Tensor:
 
 
 def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One graph node. The forward repeats the arithmetic of the composed
+    ops (mean as sum times 1/n, ``power(-0.5)``), so its values are the
+    same bits; the backward is the closed-form layer-norm gradient.
+    """
     if eps <= 0:
         raise ParameterError(f"layer_norm: eps must be positive, got {eps}")
     t, gain, bias = _as_tensor(t), _as_tensor(gain), _as_tensor(bias)
-    centered = t - t.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = (var + eps).power(-0.5)
-    return centered * inv * gain + bias
+    scale = 1.0 / t.shape[-1]
+    centered = t.data - t.data.sum(axis=-1, keepdims=True) * scale
+    inv = np.power((centered * centered).sum(axis=-1, keepdims=True) * scale + eps, -0.5)
+    normed = centered * inv
+    data = normed * gain.data + bias.data
+
+    def backward(g):
+        if t.requires_grad:
+            gn = _unbroadcast(g * gain.data, t.shape)
+            dot = (gn * normed).sum(axis=-1, keepdims=True) * scale
+            t._accumulate(inv * (gn - gn.sum(axis=-1, keepdims=True) * scale - normed * dot))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+
+    return Tensor._result(data, (t, gain, bias), backward)
 
 
 def conv1d(t: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = None) -> Tensor:
@@ -343,6 +390,10 @@ def conv1d(t: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
     ``t`` has shape (..., C_in, T), ``kernel`` (C_out, C_in, s); the
     output is (..., C_out, T_out) with T_out = (T - s) // stride + 1.
     Taps are applied in cross-correlation order.
+
+    Lowered to one matrix product (im2col): every output step's input
+    window becomes one row of a (rows, C_in*s) matrix, rows running over
+    the leading axes and T_out.
     """
     t, kernel = _as_tensor(t), _as_tensor(kernel)
     if stride < 1:
@@ -355,28 +406,34 @@ def conv1d(t: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
     length = t.shape[-1]
     if s > length:
         raise DimensionError(f"conv1d: kernel size {s} exceeds input length {length}")
-    windows = np.lib.stride_tricks.sliding_window_view(t.data, s, axis=-1)
-    windows = windows[..., ::stride, :]  # (..., C_in, T_out, s)
-    data = np.einsum("ocl,...ctl->...ot", kernel.data, windows)
+    lead = t.shape[:-2]
+    t_out = (length - s) // stride + 1
+    w = kernel.data.reshape(c_out, c_in * s)
+
+    def columns():
+        windows = np.lib.stride_tricks.sliding_window_view(t.data, s, axis=-1)
+        windows = windows[..., ::stride, :]  # (..., C_in, T_out, s)
+        return np.swapaxes(windows, -2, -3).reshape(-1, c_in * s)
+
+    rows = columns() @ w.T  # (rows, C_out)
     if bias is not None:
         bias = _as_tensor(bias)
-        data = data + bias.data[:, None]
-    t_out = data.shape[-1]
+        rows += bias.data
+    data = np.swapaxes(rows.reshape(lead + (t_out, c_out)), -1, -2)
 
     def backward(g):
+        # the column matrix is rebuilt here rather than kept alive with the graph
+        g_rows = np.swapaxes(g, -1, -2).reshape(-1, c_out)
         if kernel.requires_grad:
-            gb = g.reshape(-1, c_out, t_out)
-            wb = windows.reshape(-1, c_in, t_out, s)
-            kernel._accumulate(np.einsum("bot,bctl->ocl", gb, wb))
+            kernel._accumulate((g_rows.T @ columns()).reshape(kernel.shape))
         if t.requires_grad:
+            g_cols = (g_rows @ w).reshape(lead + (t_out, c_in, s))
             gx = np.zeros_like(t.data)
-            for l in range(s):
-                # position of tap l in the input for each output step
-                contrib = np.einsum("oc,...ot->...ct", kernel.data[:, :, l], g)
-                gx[..., l : l + stride * t_out : stride] += contrib
+            for l in range(s):  # col2im: tap l read input steps l, l + stride, ...
+                gx[..., l : l + stride * t_out : stride] += np.swapaxes(g_cols[..., l], -1, -2)
             t._accumulate(gx)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
+            bias._accumulate(g_rows.sum(axis=0))
 
     parents = (t, kernel) if bias is None else (t, kernel, bias)
     return Tensor._result(data, parents, backward)

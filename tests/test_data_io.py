@@ -198,6 +198,20 @@ class TestForecastIo:
         with pytest.raises(DataError, match=message):
             dio.load_forecasts(path)
 
+    @pytest.mark.parametrize("header", ["t,node,step,pred,y", "a,b,c,d,e,lo,x", ""])
+    def test_unknown_header_rejected(self, tmp_path, header):
+        # columns are read by position, so a reordered header would swap y and pred
+        path = tmp_path / "fc.csv"
+        path.write_text(f"{header}\n0,0,1,1.5,2.5{',0.5,3.5' if 'lo' in header else ''}\n")
+        with pytest.raises(DataError, match=f"header '{header}' is not"):
+            dio.load_forecasts(path)
+
+    def test_seven_column_band_layout_accepted(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        path.write_text("t,node,step,y,pred,lo,hi\n0,0,1,1.5,2.5,0.5,3.5\n")
+        y, pred, (lo, hi) = dio.load_forecasts(path)
+        assert (y.item(), pred.item(), lo.item(), hi.item()) == (1.5, 2.5, 0.5, 3.5)
+
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "fc.csv"
         path.write_text("t,node,step,y,pred\n")

@@ -119,6 +119,30 @@ class TestForward:
         assert not np.array_equal(a, c)
 
 
+class TestPredictIsGraphFree:
+    def test_predict_equals_forward(self, toy_model):
+        x = _window_batch(toy_model.cfg, seed=17)
+        assert np.array_equal(toy_model.predict(x), toy_model.forward(x).data)
+        assert np.array_equal(toy_model.predict(x[0]), toy_model.forward(x[0]).data)
+
+    def test_training_step_unaffected_by_predict(self, toy_setup):
+        cfg, bundle = toy_setup
+        x = _window_batch(cfg, seed=18)
+        target = np.random.default_rng(19).normal(size=(3, cfg.nodes, cfg.horizon))
+
+        def step(model):
+            model.graph.zero_grad()
+            return model.graph.backward(T.huber_loss(model.forward(x), target))
+
+        plain = step(Model(cfg, bundle, seed=11))
+        model = Model(cfg, bundle, seed=11)
+        model.predict(x)
+        after_predict = step(model)
+        for name, grad in plain.items():
+            assert np.any(grad), name
+            assert np.array_equal(after_predict[name], grad), name
+
+
 class TestAttentionProperties:
     def test_all_attention_rows_stochastic(self, toy_model):
         x = _window_batch(toy_model.cfg, seed=5)

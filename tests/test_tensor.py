@@ -94,6 +94,37 @@ class TestLayerNorm:
         )
 
 
+def _composed_layer_norm(t, gain, bias, eps):
+    """layer_norm as the chain of graph ops it was before it became one node."""
+    centered = t - t.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * (var + eps).power(-0.5) * gain + bias
+
+
+class TestLayerNormMatchesComposedOps:
+    @pytest.mark.parametrize("x_shape, affine_shape", [
+        ((2, 5, 4), (2, 1, 4)),  # wavelet attention: one gain per band
+        ((3, 2, 2, 6), (6,)),  # gated temporal conv
+        ((4, 3), ()),
+    ])
+    def test_output_and_gradients(self, x_shape, affine_shape):
+        rng = np.random.default_rng(43)
+        arrays = [rng.normal(size=x_shape), rng.normal(size=affine_shape),
+                  rng.normal(size=affine_shape)]
+        g = rng.normal(size=x_shape)
+        results = []
+        for fn in (T.layer_norm, _composed_layer_norm):
+            x, gain, bias = (Tensor(a, requires_grad=True) for a in arrays)
+            out = fn(x, gain, bias, 1e-8)
+            Graph().backward((out * g).sum())
+            results.append((out.data, x.grad, gain.grad, bias.grad))
+        (out, *grads), (ref_out, *ref_grads) = results
+        np.testing.assert_array_equal(out, ref_out)
+        for name, a, r in zip(("input", "gain", "bias"), grads, ref_grads):
+            assert a.shape == r.shape, name
+            assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
 class TestConv1d:
     def test_output_length(self):
         x = Tensor(_rand((1, 12), 11))
@@ -137,6 +168,89 @@ class TestConv1d:
         b = Tensor(np.zeros(3), requires_grad=True)
         w = _rand((2, 3, (9 - 3) // stride + 1), 16)
         gradcheck_op(lambda: (T.conv1d(x, k, stride, b) * w).sum(), [x, k, b])
+
+
+def _einsum_conv1d(x, kernel, stride, bias, g):
+    """The einsum kernel conv1d used before im2col, kept as the reference:
+    the output, then the input, kernel and bias gradients for upstream ``g``."""
+    c_out, c_in, s = kernel.shape
+    windows = np.lib.stride_tricks.sliding_window_view(x, s, axis=-1)[..., ::stride, :]
+    out = np.einsum("ocl,...ctl->...ot", kernel, windows)
+    if bias is not None:
+        out = out + bias[:, None]
+    t_out = out.shape[-1]
+    gk = np.einsum("bot,bctl->ocl", g.reshape(-1, c_out, t_out),
+                   windows.reshape(-1, c_in, t_out, s))
+    gx = np.zeros_like(x)
+    for l in range(s):
+        gx[..., l : l + stride * t_out : stride] += np.einsum("oc,...ot->...ct", kernel[:, :, l], g)
+    gb = None if bias is None else g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,))
+    return out, gx, gk, gb
+
+
+class TestConv1dMatchesEinsumKernel:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (2, 1, 3)])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("c_out, c_in, s, length", [
+        (4, 3, 3, 11),  # C_out != C_in
+        (2, 5, 7, 7),  # kernel as long as the input: one output step
+        (6, 6, 1, 5),
+    ])
+    def test_output_and_gradients(self, lead, stride, with_bias, c_out, c_in, s, length):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.normal(size=lead + (c_in, length)), requires_grad=True)
+        k = Tensor(rng.normal(size=(c_out, c_in, s)), requires_grad=True)
+        b = Tensor(rng.normal(size=c_out), requires_grad=True) if with_bias else None
+        out = T.conv1d(x, k, stride, b)
+        g = rng.normal(size=out.shape)
+        out._backward(g)
+        ref = _einsum_conv1d(x.data, k.data, stride, None if b is None else b.data, g)
+        got = (out.data, x.grad, k.grad, None if b is None else b.grad)
+        for name, a, r in zip(("output", "input grad", "kernel grad", "bias grad"), got, ref):
+            if r is None:
+                continue
+            assert a.shape == r.shape, name
+            assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
+class TestNoGrad:
+    def test_records_no_graph(self):
+        g = Graph()
+        p = g.parameter("p", _rand((3, 4), 40))
+        k = g.parameter("k", _rand((2, 3, 2), 41))
+        with T.no_grad():
+            out = T.conv1d(T.tanh(p * 2.0), k).sum()
+        assert out._parents == () and out._backward is None and not out.requires_grad
+
+    def test_mode_restored_after_nesting_and_errors(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert (p * 2.0)._backward is None  # still off after the inner block
+        assert (p * 2.0)._parents[0] is p
+        with pytest.raises(ValueError):
+            with T.no_grad():
+                raise ValueError("inside")
+        assert (p * 2.0)._parents[0] is p
+
+
+class TestFirstAccumulation:
+    @pytest.mark.parametrize("reuse_first", [False, True])
+    def test_shared_upstream_view_is_copied(self, reuse_first):
+        # ``a + b`` hands both leaves views of one gradient array; a later
+        # accumulation into ``a`` must not leak into ``b``
+        g = Graph()
+        a = g.parameter("a", np.array([1.0, 2.0]))
+        b = g.parameter("b", np.array([3.0, 4.0]))
+        w, c = np.array([5.0, 7.0]), np.array([11.0, 13.0])
+        terms = [((a + b) * w).sum(), (a * c).sum()]
+        if reuse_first:
+            terms.reverse()
+        grads = g.backward(terms[0] + terms[1])
+        np.testing.assert_array_equal(grads["a"], w + c)
+        np.testing.assert_array_equal(grads["b"], w)
 
 
 class TestEverythingElseGradients:
