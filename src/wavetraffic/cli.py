@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +21,6 @@ from .graph import (
     GraphBundle, StadMatrix, StrgMask, build_graph_bundle, chebyshev_basis, scaled_laplacian,
 )
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
-from .tensor import Graph
 
 __all__ = ["main", "build_parser"]
 
@@ -43,9 +42,12 @@ def _read_config_file(path) -> dict:
 
 
 def _parse_split(text: str) -> training.SplitSpec:
-    parts = [float(p) for p in text.split(":")]
-    if len(parts) != 3:
-        raise ParameterError(f"split must be three numbers a:b:c, got {text!r}")
+    try:
+        parts = [float(p) for p in text.split(":")]
+    except ValueError:
+        parts = []
+    if len(parts) != 3 or not all(0 < p < math.inf for p in parts):
+        raise ParameterError(f"split must be three positive numbers a:b:c, got {text!r}")
     total = sum(parts)
     return training.SplitSpec(*(p / total for p in parts))
 
@@ -66,7 +68,11 @@ def _resolve(args, file_cfg: dict, keys: dict) -> dict:
         if flag is not None:
             out[key] = flag
         elif key in file_cfg:
-            out[key] = cast(file_cfg[key])
+            try:
+                out[key] = cast(file_cfg[key])
+            except ValueError:
+                raise DataError(f"config value {key}={file_cfg[key]!r} "
+                                f"is not {cast.__name__}") from None
     return out
 
 
@@ -99,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wavetraffic",
         description="Wavelet-based spatiotemporal traffic forecasting toolkit",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap numeric worker threads (also env WAVETRAFFIC_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="write per-band wavelet components as CSV")
@@ -141,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=int, default=288, help="score window size")
     p.add_argument("--beta", type=float, default=0.1, help="miscoverage level")
-    p.add_argument("--quantile-mode", dest="quantile_mode", default="order",
-                   choices=["order", "literal"])
 
     p = sub.add_parser("evaluate", help="accuracy metrics from a forecast CSV")
     p.add_argument("--forecasts", required=True)
@@ -161,14 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_decompose(args) -> int:
-    x, desc = data_io.load_csv(args.input)
+    x = data_io.load_csv(args.input)
     comps = wavelet.mra_batch(x, args.filter, args.level)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = [f"detail{j}" for j in range(1, args.level + 1)] + [f"smooth{args.level}"]
     for name, comp in zip(names, comps):
         data_io.save_csv(out / f"{name}.csv", comp,
-                         header=[f"sensor_{i}" for i in range(desc.nodes)])
+                         header=[f"sensor_{i}" for i in range(len(x))])
     print(f"wrote {len(comps)} component files to {out}")
     return 0
 
@@ -181,7 +183,7 @@ def _stad_input(x, stad_window):
 
 
 def _cmd_build_graph(args) -> int:
-    x, _ = data_io.load_csv(args.input)
+    x = data_io.load_csv(args.input)
     bundle = build_graph_bundle(_stad_input(x, args.stad_window), p_sp=args.p_sp)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -193,14 +195,14 @@ def _cmd_build_graph(args) -> int:
 
 
 def _prepare_training(args):
-    x, desc = data_io.load_csv(args.data)
+    x = data_io.load_csv(args.data)
     file_cfg = _read_config_file(args.config) if args.config else {}
     split_spec = _parse_split(args.split)
     train_seg, val_seg, test_seg = training.split(x, split_spec)
     stats = training.compute_stats(train_seg)
     bundle_input = _stad_input(train_seg, args.stad_window)
     model_kwargs = _resolve(args, file_cfg, _MODEL_KEYS)
-    cfg = ModelConfig(nodes=desc.nodes, **model_kwargs)
+    cfg = ModelConfig(nodes=len(x), **model_kwargs)
     bundle = build_graph_bundle(bundle_input, p_sp=args.p_sp, cheb_order=cfg.cheb_order)
     train_cfg = training.TrainConfig(**_resolve(args, file_cfg, _TRAIN_KEYS))
     spec = training.WindowSpec(cfg.window, cfg.horizon)
@@ -245,14 +247,17 @@ def _model_from_checkpoint(path):
     cheb = chebyshev_basis(lap, cfg.cheb_order)
     bundle = GraphBundle(stad=stad, strg=strg, a_stag=extras["a_stag"],
                          laplacian=lap, cheb=cheb)
-    model = Model(cfg, bundle, graph=Graph())
+    model = Model(cfg, bundle)
     model.graph.load_state(state)
     return model, stats
 
 
 def _cmd_forecast(args) -> int:
     model, stats = _model_from_checkpoint(args.checkpoint)
-    x, _ = data_io.load_csv(args.data)
+    x = data_io.load_csv(args.data)
+    if len(x) != model.cfg.nodes:
+        raise DataError(f"{args.data}: {len(x)} sensors, but the checkpoint "
+                        f"was trained on {model.cfg.nodes}")
     if args.segment != "all":
         segs = dict(zip(("train", "val", "test"), training.split(x, _parse_split(args.split))))
         x = segs[args.segment]
@@ -285,8 +290,7 @@ def _cmd_conformal(args) -> int:
     y_cal, pred_cal, _ = data_io.load_forecasts(args.calibration)
     y_test, pred_test, _ = data_io.load_forecasts(args.test)
     lo, hi, _cov = cp.calibrate_stream(y_cal, pred_cal, y_test, pred_test,
-                                       window=args.alpha, beta=args.beta,
-                                       mode=args.quantile_mode)
+                                       window=args.alpha, beta=args.beta)
     data_io.save_forecasts(args.out, y_test, pred_test, intervals=(lo, hi))
     for step in range(y_test.shape[2]):
         cov = cp.empirical_coverage(lo[:, :, step], hi[:, :, step], y_test[:, :, step])
@@ -311,12 +315,19 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_mcb(args) -> int:
     with open(args.table, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        models, values = [], []
-        for row in reader:
-            models.append(row[0])
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{args.table}: empty file")
+    header = rows[0]
+    models, values = [], []
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataError(f"{args.table}: row {r} has {len(row)} cells, expected {len(header)}")
+        try:
             values.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise DataError(f"{args.table}: row {r}: {exc}") from None
+        models.append(row[0])
     table = evalbench.ErrorTable(np.asarray(values), models, header[1:])
     result = evalbench.mcb(table, gamma=args.gamma, ties=args.ties)
     with open(args.out, "w", newline="") as fh:
@@ -350,10 +361,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads or os.environ.get("WAVETRAFFIC_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
     try:
         return _COMMANDS[args.command](args)
     except (WavetrafficError, OSError) as exc:

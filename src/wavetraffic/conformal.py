@@ -33,13 +33,9 @@ def conformal_score(y, pred, xi):
     return np.abs(np.asarray(y, dtype=np.float64) - np.asarray(pred, dtype=np.float64)) / xi
 
 
-def weighted_quantile(scores, beta: float, mode: str = "order"):
-    """Windowed conformal quantile along the last axis of ``scores``.
-
-    ``mode="order"`` (default): the ceil((1-beta)(n+1))-th order
-    statistic, +inf when that rank exceeds n.  ``mode="literal"`` keeps
-    the printed weighted-mean form for comparison only: the mean of the
-    windowed scores when it reaches 1-beta, else +inf.
+def weighted_quantile(scores, beta: float):
+    """Windowed conformal quantile along the last axis of ``scores``: the
+    ceil((1-beta)(n+1))-th order statistic, +inf when that rank exceeds n.
 
     A 1-D window gives a float; a ``(streams, n)`` window gives one value
     per row.
@@ -50,17 +46,11 @@ def weighted_quantile(scores, beta: float, mode: str = "order"):
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"weighted_quantile: beta must be in (0, 1), got {beta}")
     n = scores.shape[-1]
-    if mode == "literal":
-        m = scores.mean(axis=-1) * n / (n + 1)
-        q = np.where(m >= 1.0 - beta, m, math.inf)
-    elif mode == "order":
-        rank = math.ceil((1.0 - beta) * (n + 1))
-        if rank > n:
-            q = np.full(scores.shape[:-1], math.inf)
-        else:
-            q = np.partition(scores, rank - 1, axis=-1)[..., rank - 1]
+    rank = math.ceil((1.0 - beta) * (n + 1))
+    if rank > n:
+        q = np.full(scores.shape[:-1], math.inf)
     else:
-        raise ParameterError(f"weighted_quantile: unknown mode {mode!r}")
+        q = np.partition(scores, rank - 1, axis=-1)[..., rank - 1]
     return float(q) if scores.ndim == 1 else q
 
 
@@ -111,7 +101,6 @@ class ConformalCalibrator:
 
     window: int = 288
     beta: float = 0.1
-    mode: str = "order"
     scores: list = field(default_factory=list)
     abs_residuals: list = field(default_factory=list)
 
@@ -138,7 +127,7 @@ class ConformalCalibrator:
     def bounds(self, pred: float):
         """(lo, hi) for the next forecast given the current window."""
         xi = self._xi()
-        cq = weighted_quantile(self.scores[-self.window :], self.beta, self.mode)
+        cq = weighted_quantile(self.scores[-self.window :], self.beta)
         lo, hi = interval(pred, xi, cq if math.isfinite(cq) else 0.0)
         if math.isinf(cq):
             return -math.inf, math.inf
@@ -152,7 +141,7 @@ class ConformalCalibrator:
 
 
 def calibrate_stream(y_cal, pred_cal, y_test, pred_test,
-                     window: int = 288, beta: float = 0.1, mode: str = "order"):
+                     window: int = 288, beta: float = 0.1):
     """Band one stream, or many that share a time index; returns (lo, hi, coverage).
 
     Arrays are ``(T,)`` for one stream or ``(T, *streams)`` for many, the
@@ -164,7 +153,7 @@ def calibrate_stream(y_cal, pred_cal, y_test, pred_test,
     first emits an interval, then folds in its realized residual before
     origin *t+1* is bounded. A horizon-*s* target of origin *t* is
     observed only *s-1* origins later, so for *s >= 2* this update rule
-    lets each interval see *s-1* future observations (ROADMAP item 3
+    lets each interval see *s-1* future observations (ROADMAP item 1
     holds the horizon-lag fix).
     """
     if window < 1:
@@ -201,7 +190,7 @@ def calibrate_stream(y_cal, pred_cal, y_test, pred_test,
     lo = np.empty((len(resid), n_test))
     hi = np.empty_like(lo)
     for t, k in enumerate(range(n_cal, n_cal + n_test)):
-        cq = weighted_quantile(scores[:, max(0, k - window) : k], beta, mode)
+        cq = weighted_quantile(scores[:, max(0, k - window) : k], beta)
         lo[:, t], hi[:, t] = interval(pred[:, k], xi[:, k], cq)
     lo = lo.T.reshape(y_test.shape)
     hi = hi.T.reshape(y_test.shape)

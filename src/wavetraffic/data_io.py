@@ -7,7 +7,6 @@ per cell, so save/load round trips are value-exact at that precision.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,6 @@ import numpy as np
 from .errors import DataError, DimensionError, ParameterError
 
 __all__ = [
-    "DatasetDescriptor",
     "load_csv",
     "save_csv",
     "save_table",
@@ -34,16 +32,7 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-@dataclass
-class DatasetDescriptor:
-    name: str
-    nodes: int
-    observations: int
-    granularity_minutes: int = 5
-    time_span: str = ""
-
-
-def load_csv(path, granularity_minutes: int = 5):
+def load_csv(path) -> np.ndarray:
     """Read a sensors-as-columns CSV into a (N, 1, M) tensor.
 
     The header row holds sensor identifiers; every cell must parse as a
@@ -80,14 +69,7 @@ def load_csv(path, granularity_minutes: int = 5):
             rows.append(values)
     if not rows:
         raise DataError(f"{path}: no observations")
-    data = np.asarray(rows, dtype=np.float64).T[:, None, :]  # (N, 1, M)
-    desc = DatasetDescriptor(
-        name=path.stem,
-        nodes=data.shape[0],
-        observations=data.shape[2],
-        granularity_minutes=granularity_minutes,
-    )
-    return data, desc
+    return np.asarray(rows, dtype=np.float64).T[:, None, :]  # (N, 1, M)
 
 
 def save_table(path, table, header=None):

@@ -90,11 +90,11 @@ class Model:
 
     Wavelet bands (J), attention heads (H) and Chebyshev orders (K) are
     stacked along the leading axis of each parameter and constant, so
-    every block stage runs as a few batched products.
+    every block stage runs as a few batched products. Each is stored in
+    the shape the forward consumes, so no reshape node is recorded for it.
     """
 
-    def __init__(self, cfg: ModelConfig, bundle: GraphBundle, seed: int = 0,
-                 graph: Graph | None = None):
+    def __init__(self, cfg: ModelConfig, bundle: GraphBundle, seed: int = 0):
         if bundle.cheb.order != cfg.cheb_order:
             raise DimensionError(
                 f"Chebyshev basis order {bundle.cheb.order} != config order {cfg.cheb_order}"
@@ -105,13 +105,13 @@ class Model:
             )
         self.cfg = cfg
         self.bundle = bundle
-        self.graph = graph or Graph()
+        self.graph = Graph()
         if cfg.level > 0:
             ops = wavelet.mra_matrices(cfg.filter_name, cfg.level, cfg.window)
         else:
             ops = [np.eye(cfg.window)]
-        self._mra_ops = T.constant(np.stack(ops))  # (J, M, M)
-        self._cheb = T.constant(np.stack(bundle.cheb.matrices))  # (K, N, N)
+        self._mra_ops = T.constant(np.stack(ops)[:, None, None])  # (J, 1, 1, M, M)
+        self._cheb = T.constant(np.stack(bundle.cheb.matrices)[:, None])  # (K, 1, N, N)
         self._mask = T.constant(bundle.strg.mask)
         self._register_parameters(np.random.default_rng(seed))
 
@@ -129,16 +129,16 @@ class Model:
             qkv, wo, fc_w = [], [], []
             for _ in range(bands):
                 qkv.append(_uniform(rng, n, (heads, 3, n, dh)))
-                wo.append(_uniform(rng, d, (d, n)).reshape(heads, dh, n))
+                wo.append(_uniform(rng, d, (d, n)))
                 fc_w.append(_uniform(rng, n, (n, n)))
             pre = f"block{b}.wta"
             for name, w in zip(("wq", "wk", "wv"), np.moveaxis(np.stack(qkv), 2, 0)):
                 g.parameter(f"{pre}.{name}", w.copy())  # each (J, H, N, dh)
-            g.parameter(f"{pre}.wo", np.stack(wo))
+            g.parameter(f"{pre}.wo", np.stack(wo))  # (J, H*dh, N)
             g.parameter(f"{pre}.fc_w", np.stack(fc_w))
-            g.parameter(f"{pre}.fc_b", np.zeros((bands, n)))
-            g.parameter(f"{pre}.ln_gain", np.ones((bands, n)))
-            g.parameter(f"{pre}.ln_bias", np.zeros((bands, n)))
+            g.parameter(f"{pre}.fc_b", np.zeros((bands, 1, n)))
+            g.parameter(f"{pre}.ln_gain", np.ones((bands, 1, n)))
+            g.parameter(f"{pre}.ln_bias", np.zeros((bands, 1, n)))
             pre = f"block{b}.sa"
             g.parameter(f"{pre}.collapse_w", _uniform(rng, c_in, (c_in,)))
             g.parameter(f"{pre}.collapse_b", np.zeros(1))
@@ -150,10 +150,12 @@ class Model:
                 wm.append(_uniform(rng, n, (n, n)))
             for name, w in zip(("wk", "wq"), np.moveaxis(np.stack(kq), 1, 0)):
                 g.parameter(f"{pre}.{name}", w.copy())  # each (K, d, sh)
-            g.parameter(f"{pre}.wm", np.stack(wm))
+            g.parameter(f"{pre}.wm", np.stack(wm)[:, None])  # (K, 1, N, N)
             pre = f"block{b}.gc"
-            g.parameter(f"{pre}.theta", _uniform(rng, c_in, (order, c_in, c_out)))
-            g.parameter(f"{pre}.bias", np.zeros(c_out))
+            theta = _uniform(rng, c_in, (order, c_in, c_out))
+            g.parameter(f"{pre}.theta", theta.reshape(order * c_in, c_out))
+            # the full broadcast shape keeps the order the bias gradient is summed in
+            g.parameter(f"{pre}.bias", np.zeros((1, 1, c_out, 1)))
             pre = f"block{b}.gtu"
             for i, s in enumerate(cfg.kernel_sizes):
                 g.parameter(f"{pre}.kernel{i}", _uniform(rng, c_out * s, (2 * c_out, c_out, s)))
@@ -192,8 +194,7 @@ class Model:
                 f"residual attention logits have shape {a_prev.shape}, "
                 f"expected ({m}, {m}) or {carried}"
             )
-        ops = self._mra_ops.reshape(bands, 1, 1, m, m)
-        d_r = T.matmul(ops, x.transpose((0, 2, 3, 1)))  # (J, B, c, M, N)
+        d_r = T.matmul(self._mra_ops, x.transpose((0, 2, 3, 1)))  # (J, B, c, M, N)
         if identity_f:
             return d_r.sum(axis=0).transpose((0, 3, 1, 2)), a_prev
         pre = f"block{block}.wta"
@@ -216,11 +217,10 @@ class Model:
             .transpose((0, 2, 3, 4, 1, 5))
             .reshape(bands, b_sz * c * m, heads * dh)
         )
-        merged = T.matmul(merged, self._p(f"{pre}.wo").reshape(bands, heads * dh, n))
+        merged = T.matmul(merged, self._p(f"{pre}.wo"))
         fc_in = merged + rows.reshape(bands, b_sz * c * m, n)
-        fc = T.matmul(fc_in, self._p(f"{pre}.fc_w")) + self._p(f"{pre}.fc_b").reshape(bands, 1, n)
-        out = T.layer_norm(fc, self._p(f"{pre}.ln_gain").reshape(bands, 1, n),
-                           self._p(f"{pre}.ln_bias").reshape(bands, 1, n), cfg.eps)
+        fc = T.matmul(fc_in, self._p(f"{pre}.fc_w")) + self._p(f"{pre}.fc_b")
+        out = T.layer_norm(fc, self._p(f"{pre}.ln_gain"), self._p(f"{pre}.ln_bias"), cfg.eps)
         combined = out.sum(axis=0).reshape(b_sz, c, m, n)
         return combined.transpose((0, 3, 1, 2)), new_logits
 
@@ -240,7 +240,7 @@ class Model:
         kh = T.matmul(rows, self._p(f"{pre}.wk")).reshape(order, b_sz, n, sh)
         qh = T.matmul(rows, self._p(f"{pre}.wq")).reshape(order, b_sz, n, sh)
         logits = T.matmul(kh, qh.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(sh))
-        logits = logits + self._p(f"{pre}.wm").reshape(order, 1, n, n) * self._mask
+        logits = logits + self._p(f"{pre}.wm") * self._mask
         return T.softmax_last(logits)
 
     def cheb_graph_conv(self, x: Tensor, attn: Tensor, block: int) -> Tensor:
@@ -256,14 +256,13 @@ class Model:
             raise DimensionError(
                 f"attention stack has shape {attn.shape}, expected {(order, b_sz, n, n)}"
             )
-        gk = self._cheb.reshape(order, 1, n, n) * attn
+        gk = self._cheb * attn
         xg = T.matmul(gk, x.reshape(b_sz, n, c * m))  # (K, B, N, c*M)
         # one product sums over orders and input channels together
         xg = xg.reshape(order, b_sz, n, c, m).transpose((1, 2, 4, 0, 3))
-        theta = self._p(f"block{block}.gc.theta").reshape(order * c, cfg.channels)
-        z = T.matmul(xg.reshape(b_sz * n * m, order * c), theta)
+        z = T.matmul(xg.reshape(b_sz * n * m, order * c), self._p(f"block{block}.gc.theta"))
         z = z.reshape(b_sz, n, m, cfg.channels).transpose((0, 1, 3, 2))
-        return z + self._p(f"block{block}.gc.bias").reshape(1, 1, cfg.channels, 1)
+        return z + self._p(f"block{block}.gc.bias")
 
     def gated_temporal_conv(self, z: Tensor, x_in: Tensor, block: int) -> Tensor:
         """Three gated tanh branches, pooled and concatenated back to M."""
@@ -272,8 +271,7 @@ class Model:
         c = cfg.channels
         branches = []
         for i, _s in enumerate(cfg.kernel_sizes):
-            q = T.conv1d(z, self._p(f"{pre}.kernel{i}"), stride=1,
-                         bias=self._p(f"{pre}.kbias{i}"))
+            q = T.conv1d(z, self._p(f"{pre}.kernel{i}"), bias=self._p(f"{pre}.kbias{i}"))
             e = q[:, :, :c, :]
             f = q[:, :, c:, :]
             gated = T.tanh(e) * T.sigmoid(f)

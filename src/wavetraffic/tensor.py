@@ -384,11 +384,11 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     return Tensor._result(data, (t, gain, bias), backward)
 
 
-def conv1d(t: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = None) -> Tensor:
+def conv1d(t: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Valid (no-padding) convolution along the last axis.
 
     ``t`` has shape (..., C_in, T), ``kernel`` (C_out, C_in, s); the
-    output is (..., C_out, T_out) with T_out = (T - s) // stride + 1.
+    output is (..., C_out, T_out) with T_out = T - s + 1.
     Taps are applied in cross-correlation order.
 
     Lowered to one matrix product (im2col): every output step's input
@@ -396,8 +396,6 @@ def conv1d(t: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
     the leading axes and T_out.
     """
     t, kernel = _as_tensor(t), _as_tensor(kernel)
-    if stride < 1:
-        raise ParameterError(f"conv1d: stride must be >= 1, got {stride}")
     c_out, c_in, s = kernel.shape
     if t.shape[-2] != c_in:
         raise DimensionError(
@@ -407,12 +405,12 @@ def conv1d(t: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
     if s > length:
         raise DimensionError(f"conv1d: kernel size {s} exceeds input length {length}")
     lead = t.shape[:-2]
-    t_out = (length - s) // stride + 1
+    t_out = length - s + 1
     w = kernel.data.reshape(c_out, c_in * s)
 
     def columns():
         windows = np.lib.stride_tricks.sliding_window_view(t.data, s, axis=-1)
-        windows = windows[..., ::stride, :]  # (..., C_in, T_out, s)
+        # (..., C_in, T_out, s) windows -> (rows, C_in*s)
         return np.swapaxes(windows, -2, -3).reshape(-1, c_in * s)
 
     rows = columns() @ w.T  # (rows, C_out)
@@ -429,8 +427,8 @@ def conv1d(t: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
         if t.requires_grad:
             g_cols = (g_rows @ w).reshape(lead + (t_out, c_in, s))
             gx = np.zeros_like(t.data)
-            for l in range(s):  # col2im: tap l read input steps l, l + stride, ...
-                gx[..., l : l + stride * t_out : stride] += np.swapaxes(g_cols[..., l], -1, -2)
+            for l in range(s):  # col2im: tap l read input steps l .. l + T_out - 1
+                gx[..., l : l + t_out] += np.swapaxes(g_cols[..., l], -1, -2)
             t._accumulate(gx)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g_rows.sum(axis=0))

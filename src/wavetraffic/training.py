@@ -58,11 +58,10 @@ class SplitSpec:
 class WindowSpec:
     input_length: int = 12
     horizon: int = 12
-    stride: int = 1
 
     def __post_init__(self):
-        if self.input_length < 1 or self.horizon < 1 or self.stride < 1:
-            raise ParameterError("window lengths and stride must be positive")
+        if self.input_length < 1 or self.horizon < 1:
+            raise ParameterError("window lengths must be positive")
 
 
 @dataclass
@@ -72,7 +71,6 @@ class TrainConfig:
     batch_size: int = 32
     huber_delta: float = 1.0
     seed: int = 0
-    patience: int | None = None
 
     def __post_init__(self):
         if self.epochs < 0 or self.lr < 0 or self.batch_size < 1 or self.huber_delta <= 0:
@@ -146,7 +144,7 @@ def make_windows(x, spec: WindowSpec = WindowSpec()):
         raise DimensionError(
             f"segment length {m} shorter than input+horizon = {total}"
         )
-    starts = range(0, m - total + 1, spec.stride)
+    starts = range(m - total + 1)
     inputs = np.stack([x[:, :, s : s + spec.input_length] for s in starts])
     targets = np.stack(
         [x[:, 0, s + spec.input_length : s + total] for s in starts]
@@ -185,7 +183,6 @@ def fit(model: Model, train_windows, val_windows, cfg: TrainConfig = TrainConfig
     log: list[dict] = []
     best_val = np.inf
     best_state = model.graph.state()
-    since_best = 0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(len(tr_x))
@@ -223,11 +220,6 @@ def fit(model: Model, train_windows, val_windows, cfg: TrainConfig = TrainConfig
         if val_loss < best_val:
             best_val = val_loss
             best_state = model.graph.state()
-            since_best = 0
-        else:
-            since_best += 1
-            if cfg.patience is not None and since_best > cfg.patience:
-                break
     return FitResult(best_state=best_state, final_state=model.graph.state(), log=log)
 
 

@@ -156,7 +156,7 @@ def test_criterion_03_gradient_audit(toy_setup):
     gradcheck_op(lambda: (T.layer_norm(ln, g_, b_) * lw).sum(), [ln, g_, b_])
     cx, ck, cb = rand((2, 2, 9)), rand((3, 2, 3)), Tensor(np.zeros(3), requires_grad=True)
     cw = rng.normal(size=(2, 3, 7))
-    gradcheck_op(lambda: (T.conv1d(cx, ck, 1, cb) * cw).sum(), [cx, ck, cb])
+    gradcheck_op(lambda: (T.conv1d(cx, ck, cb) * cw).sum(), [cx, ck, cb])
     pv = rand((2, 2, 8))
     pw = rng.normal(size=(2, 2, 4))
     gradcheck_op(lambda: (T.avg_pool_last(pv, 2) * pw).sum(), [pv])

@@ -1,11 +1,14 @@
 import csv
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavetraffic import conformal as cp
 from wavetraffic import data_io, wavelet
-from wavetraffic.cli import main
+from wavetraffic.cli import build_parser, main
 from wavetraffic.model import load_checkpoint, save_checkpoint
 
 
@@ -40,9 +43,9 @@ class TestDecompose:
         assert main(["decompose", "--input", str(data_path), "--level", "2",
                      "--out-dir", str(out)]) == 0
         names = ["detail1.csv", "detail2.csv", "smooth2.csv"]
-        comps = [data_io.load_csv(out / n)[0] for n in names]
+        comps = [data_io.load_csv(out / n) for n in names]
         total = sum(comps)
-        loaded, _ = data_io.load_csv(data_path)
+        loaded = data_io.load_csv(data_path)
         np.testing.assert_allclose(total, loaded, atol=1e-8)
         direct = wavelet.mra_batch(loaded, "haar", 2)
         for written, computed in zip(comps, direct):
@@ -269,3 +272,60 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", "x.csv"])
         assert exc.value.code == 2
+
+
+class TestMalformedInput:
+    """Bad input ends in ``error:`` and exit code 1, never a traceback."""
+
+    def _fails_cleanly(self, argv, capsys, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("split", ["6:2:x", "0:0:0"])
+    def test_bad_split(self, dataset, tmp_path, capsys, split):
+        data_path, _ = dataset
+        self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path),
+                             "--split", split, *_FAST_TRAIN], capsys,
+                            f"split must be three positive numbers a:b:c, got {split!r}")
+
+    def test_config_value_of_wrong_type(self, dataset, tmp_path, capsys):
+        data_path, _ = dataset
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("epochs=abc\n")
+        self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path),
+                             "--config", str(cfg_file)], capsys,
+                            "config value epochs='abc' is not int")
+
+    @pytest.mark.parametrize("text, message", [
+        ("model,d1,d2\nalpha,1.0,1.1\nbeta,2.0,n/a\n", "row 3: could not convert"),
+        ("model,d1,d2\nalpha,1.0,1.1\nbeta,2.0\n", "row 3 has 2 cells, expected 3"),
+        ("", "empty file"),
+    ], ids=["non_numeric_cell", "ragged_row", "empty_file"])
+    def test_mcb_malformed_table(self, tmp_path, capsys, text, message):
+        table = tmp_path / "errors.csv"
+        table.write_text(text)
+        self._fails_cleanly(["mcb", "--table", str(table), "--out", str(tmp_path / "r.csv")],
+                            capsys, message)
+
+    def test_forecast_sensor_count_differs_from_checkpoint(self, trained, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        data_io.save_csv(wide, data_io.synthetic(5, 700, seed=13))
+        out = tmp_path / "out.csv"
+        self._fails_cleanly(["forecast", "--checkpoint", str(trained / "checkpoint.bin"),
+                             "--data", str(wide), "--out", str(out)], capsys,
+                            "5 sensors, but the checkpoint was trained on 4")
+        assert not out.exists()
+
+
+def test_readme_cli_quick_start_parses():
+    # every documented command line must be accepted by the current parser
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Quick start \(CLI\)\n+```bash\n(.*?)```", readme, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("wavetraffic ")]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1]

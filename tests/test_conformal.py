@@ -56,26 +56,17 @@ class TestWeightedQuantile:
             if below.size:
                 assert np.sum(arr <= below.max()) < math.ceil(needed)
 
-    def test_literal_mode(self):
-        # printed weighted-mean form: mean * n/(n+1), +inf below 1-beta
-        scores = [2.0, 4.0]
-        assert cf.weighted_quantile(scores, 0.1, mode="literal") == pytest.approx(2.0)
-        assert cf.weighted_quantile([0.1, 0.1], 0.1, mode="literal") == math.inf
-
-    @pytest.mark.parametrize("mode", ["order", "literal"])
     @pytest.mark.parametrize("n", [3, 40, 300])
-    def test_rows_match_one_dimensional_calls(self, mode, n):
+    def test_rows_match_one_dimensional_calls(self, n):
         scores = np.random.default_rng(n).exponential(size=(7, n))
-        expected = [cf.weighted_quantile(row, 0.1, mode) for row in scores]
-        np.testing.assert_array_equal(cf.weighted_quantile(scores, 0.1, mode), expected)
+        expected = [cf.weighted_quantile(row, 0.1) for row in scores]
+        np.testing.assert_array_equal(cf.weighted_quantile(scores, 0.1), expected)
 
     def test_validation(self):
         with pytest.raises(DimensionError):
             cf.weighted_quantile([], 0.1)
         with pytest.raises(ParameterError):
             cf.weighted_quantile([1.0], 1.5)
-        with pytest.raises(ParameterError):
-            cf.weighted_quantile([1.0], 0.1, mode="banana")
 
 
 class TestIntervalAndCoverage:
@@ -244,10 +235,9 @@ class TestBatchedEquivalence:
         "single_stream": dict(n_cal=50, n_test=80, streams=(), window=40),
     }
 
-    @pytest.mark.parametrize("mode", ["order", "literal"])
     @pytest.mark.parametrize("beta", [0.1, 0.3])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bitwise_equal_to_per_stream_calibrator(self, case, beta, mode):
+    def test_bitwise_equal_to_per_stream_calibrator(self, case, beta):
         spec = self.CASES[case]
         rng = np.random.default_rng(sorted(self.CASES).index(case))
         shape = (spec["n_cal"] + spec["n_test"],) + spec["streams"]
@@ -256,11 +246,11 @@ class TestBatchedEquivalence:
         scale = 10.0 ** rng.uniform(-2, 2, size=spec["streams"])
         pred = y + scale * rng.standard_t(3, size=shape)
         n = spec["n_cal"]
-        kwargs = dict(window=spec["window"], beta=beta, mode=mode)
+        kwargs = dict(window=spec["window"], beta=beta)
         lo, hi, cov = cf.calibrate_stream(y[:n], pred[:n], y[n:], pred[n:], **kwargs)
         ref_lo, ref_hi = _per_stream_bands(y[:n], pred[:n], y[n:], pred[n:], **kwargs)
         assert lo.shape == hi.shape == y[n:].shape
         assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
         assert cov == cf.empirical_coverage(ref_lo, ref_hi, y[n:])
-        if case == "infinite_bands" and mode == "order":
+        if case == "infinite_bands":
             assert np.isinf(lo[0]).all() and np.isfinite(lo[-1]).all()

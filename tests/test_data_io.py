@@ -12,12 +12,9 @@ class TestCsvRoundTrip:
         x = np.abs(np.random.default_rng(0).normal(50.0, 10.0, size=(4, 1, 30)))
         path = tmp_path / "traffic.csv"
         dio.save_csv(path, x)
-        loaded, desc = dio.load_csv(path)
+        loaded = dio.load_csv(path)
         np.testing.assert_allclose(loaded, x, rtol=1e-11)
         assert loaded.shape == (4, 1, 30)
-        assert desc.nodes == 4
-        assert desc.observations == 30
-        assert desc.name == "traffic"
 
     def test_custom_header_preserved(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -30,7 +27,7 @@ class TestCsvRoundTrip:
         x = np.random.default_rng(seed).normal(size=(3, 1, 8)) * 1e3
         path = tmp_path / "r.csv"
         dio.save_csv(path, x)
-        loaded, _ = dio.load_csv(path)
+        loaded = dio.load_csv(path)
         np.testing.assert_allclose(loaded, x, rtol=1e-11, atol=1e-14)
 
 

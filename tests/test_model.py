@@ -99,15 +99,18 @@ class TestForward:
         shapes = {name: p.shape for name, p in toy_model.graph.parameters.items()}
         for w in ("wq", "wk", "wv"):
             assert shapes[f"block0.wta.{w}"] == (j, h, n, dh)
-        assert shapes["block0.wta.wo"] == (j, h, dh, n)
+        assert shapes["block0.wta.wo"] == (j, h * dh, n)
         assert shapes["block0.wta.fc_w"] == (j, n, n)
         for w in ("fc_b", "ln_gain", "ln_bias"):
-            assert shapes[f"block0.wta.{w}"] == (j, n)
+            assert shapes[f"block0.wta.{w}"] == (j, 1, n)
         for w in ("wk", "wq"):
             assert shapes[f"block0.sa.{w}"] == (k, cfg.width, cfg.width // k)
-        assert shapes["block0.sa.wm"] == (k, n, n)
-        assert shapes["block0.gc.theta"] == (k, cfg.in_channels, cfg.channels)
-        assert shapes["block1.gc.theta"] == (k, cfg.channels, cfg.channels)
+        assert shapes["block0.sa.wm"] == (k, 1, n, n)
+        assert shapes["block0.gc.theta"] == (k * cfg.in_channels, cfg.channels)
+        assert shapes["block1.gc.theta"] == (k * cfg.channels, cfg.channels)
+        assert shapes["block0.gc.bias"] == (1, 1, cfg.channels, 1)
+        assert toy_model._mra_ops.shape == (j, 1, 1, cfg.window, cfg.window)
+        assert toy_model._cheb.shape == (k, 1, n, n)
 
     def test_seed_controls_initialization(self, toy_setup):
         cfg, bundle = toy_setup
@@ -204,10 +207,11 @@ class TestChebGraphConv:
         # direct dense evaluation oracle
         expected = np.zeros((2, n, cfg.channels, cfg.window))
         theta = toy_model.graph.parameters["block0.gc.theta"].data
+        theta = theta.reshape(cfg.cheb_order, cfg.in_channels, cfg.channels)
         for k in range(cfg.cheb_order):
             gk = toy_model.bundle.cheb.matrices[k] * (1.0 / n)
             expected += np.einsum("ij,bjcm,cd->bidm", gk, x.data, theta[k])
-        expected += toy_model.graph.parameters["block0.gc.bias"].data.reshape(1, 1, -1, 1)
+        expected += toy_model.graph.parameters["block0.gc.bias"].data
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_head_count_validated(self, toy_model):
@@ -224,8 +228,8 @@ class TestLevelZero:
         from dataclasses import replace
 
         flat = Model(replace(cfg, level=0), bundle, seed=11)
-        assert flat._mra_ops.shape == (1, cfg.window, cfg.window)
-        np.testing.assert_array_equal(flat._mra_ops.data[0], np.eye(cfg.window))
+        assert flat._mra_ops.shape == (1, 1, 1, cfg.window, cfg.window)
+        np.testing.assert_array_equal(flat._mra_ops.data[0, 0, 0], np.eye(cfg.window))
         out = flat.predict(_window_batch(cfg, seed=12))
         assert out.shape == (3, cfg.nodes, cfg.horizon)
 

@@ -153,28 +153,27 @@ class TestConv1d:
         with pytest.raises(DimensionError):
             T.conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))))
 
-    @given(st.integers(1, 24), st.integers(1, 6), st.integers(1, 3))
+    @given(st.integers(1, 24), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
-    def test_length_formula(self, m, s, stride):
+    def test_length_formula(self, m, s):
         if s > m:
             return
-        out = T.conv1d(Tensor(np.zeros((1, m))), Tensor(np.zeros((1, 1, s))), stride)
-        assert out.shape[-1] == (m - s) // stride + 1
+        out = T.conv1d(Tensor(np.zeros((1, m))), Tensor(np.zeros((1, 1, s))))
+        assert out.shape[-1] == m - s + 1
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_gradient(self, stride):
+    def test_gradient(self):
         x = Tensor(_rand((2, 2, 9), 14), requires_grad=True)
         k = Tensor(_rand((3, 2, 3), 15), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
-        w = _rand((2, 3, (9 - 3) // stride + 1), 16)
-        gradcheck_op(lambda: (T.conv1d(x, k, stride, b) * w).sum(), [x, k, b])
+        w = _rand((2, 3, 9 - 3 + 1), 16)
+        gradcheck_op(lambda: (T.conv1d(x, k, b) * w).sum(), [x, k, b])
 
 
-def _einsum_conv1d(x, kernel, stride, bias, g):
+def _einsum_conv1d(x, kernel, bias, g):
     """The einsum kernel conv1d used before im2col, kept as the reference:
     the output, then the input, kernel and bias gradients for upstream ``g``."""
     c_out, c_in, s = kernel.shape
-    windows = np.lib.stride_tricks.sliding_window_view(x, s, axis=-1)[..., ::stride, :]
+    windows = np.lib.stride_tricks.sliding_window_view(x, s, axis=-1)
     out = np.einsum("ocl,...ctl->...ot", kernel, windows)
     if bias is not None:
         out = out + bias[:, None]
@@ -183,29 +182,28 @@ def _einsum_conv1d(x, kernel, stride, bias, g):
                    windows.reshape(-1, c_in, t_out, s))
     gx = np.zeros_like(x)
     for l in range(s):
-        gx[..., l : l + stride * t_out : stride] += np.einsum("oc,...ot->...ct", kernel[:, :, l], g)
+        gx[..., l : l + t_out] += np.einsum("oc,...ot->...ct", kernel[:, :, l], g)
     gb = None if bias is None else g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,))
     return out, gx, gk, gb
 
 
 class TestConv1dMatchesEinsumKernel:
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (2, 1, 3)])
-    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("with_bias", [True, False])
     @pytest.mark.parametrize("c_out, c_in, s, length", [
         (4, 3, 3, 11),  # C_out != C_in
         (2, 5, 7, 7),  # kernel as long as the input: one output step
         (6, 6, 1, 5),
     ])
-    def test_output_and_gradients(self, lead, stride, with_bias, c_out, c_in, s, length):
+    def test_output_and_gradients(self, lead, with_bias, c_out, c_in, s, length):
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=lead + (c_in, length)), requires_grad=True)
         k = Tensor(rng.normal(size=(c_out, c_in, s)), requires_grad=True)
         b = Tensor(rng.normal(size=c_out), requires_grad=True) if with_bias else None
-        out = T.conv1d(x, k, stride, b)
+        out = T.conv1d(x, k, b)
         g = rng.normal(size=out.shape)
         out._backward(g)
-        ref = _einsum_conv1d(x.data, k.data, stride, None if b is None else b.data, g)
+        ref = _einsum_conv1d(x.data, k.data, None if b is None else b.data, g)
         got = (out.data, x.grad, k.grad, None if b is None else b.grad)
         for name, a, r in zip(("output", "input grad", "kernel grad", "bias grad"), got, ref):
             if r is None:

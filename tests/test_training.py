@@ -91,11 +91,6 @@ class TestWindows:
                 targets[w, 0], np.arange(w + 12.0, w + 24.0)
             )
 
-    def test_stride(self):
-        x = np.zeros((2, 1, 50))
-        inputs, _ = tr.make_windows(x, tr.WindowSpec(stride=3))
-        assert len(inputs) == (50 - 24) // 3 + 1
-
     def test_channel_zero_is_target(self):
         x = np.random.default_rng(2).normal(size=(2, 3, 30))
         _, targets = tr.make_windows(x)
@@ -105,11 +100,11 @@ class TestWindows:
         with pytest.raises(DimensionError):
             tr.make_windows(np.zeros((2, 1, 23)))
 
-    @given(st.integers(24, 80), st.integers(1, 4))
+    @given(st.integers(24, 80))
     @settings(max_examples=40, deadline=None)
-    def test_window_count_property(self, m, stride):
-        inputs, targets = tr.make_windows(np.zeros((1, 1, m)), tr.WindowSpec(stride=stride))
-        expected = (m - 24) // stride + 1
+    def test_window_count_property(self, m):
+        inputs, targets = tr.make_windows(np.zeros((1, 1, m)))
+        expected = m - 24 + 1
         assert len(inputs) == expected == len(targets)
 
 
@@ -197,14 +192,6 @@ class TestFit:
 
         a, b = run(), run()
         assert all(np.array_equal(a[k], b[k]) for k in a)
-
-    def test_patience_stops_early(self, toy_setup_module):
-        cfg, bundle, windows = toy_setup_module
-        model = Model(cfg, bundle, seed=4)
-        # absurd learning rate quickly stalls improvement
-        result = tr.fit(model, windows, windows,
-                        tr.TrainConfig(epochs=30, lr=0.0, batch_size=16, patience=2))
-        assert len(result.log) < 30
 
     def test_nonfinite_loss_raises(self, toy_setup_module):
         cfg, bundle, (x, y) = toy_setup_module
