@@ -56,11 +56,12 @@ class TestWeightedQuantile:
             if below.size:
                 assert np.sum(arr <= below.max()) < math.ceil(needed)
 
-    @pytest.mark.parametrize("n", [3, 40, 300])
-    def test_rows_match_one_dimensional_calls(self, n):
+    @pytest.mark.parametrize("beta", [0.1, 0.5])
+    @pytest.mark.parametrize("n", [1, 3, 40, 300])
+    def test_rows_match_one_dimensional_calls(self, n, beta):
         scores = np.random.default_rng(n).exponential(size=(7, n))
-        expected = [cf.weighted_quantile(row, 0.1) for row in scores]
-        np.testing.assert_array_equal(cf.weighted_quantile(scores, 0.1), expected)
+        expected = [cf.weighted_quantile(row, beta) for row in scores]
+        np.testing.assert_array_equal(cf.weighted_quantile(scores, beta), expected)
 
     def test_validation(self):
         with pytest.raises(DimensionError):
@@ -233,9 +234,16 @@ class TestBatchedEquivalence:
         # test stream longer than a window past the pairwise-summation block of 128
         "long_test": dict(n_cal=100, n_test=220, streams=(2, 2), window=150),
         "single_stream": dict(n_cal=50, n_test=80, streams=(), window=40),
+        # a window of one score never reaches the rank: every band is +-inf
+        "window_of_one": dict(n_cal=5, n_test=10, streams=(3,), window=1),
+        # three stream axes, as (horizon, node, channel)
+        "three_stream_axes": dict(n_cal=25, n_test=30, streams=(2, 3, 2), window=20),
+        # calibration three windows long: only its tail seeds the window
+        "calibration_past_window": dict(n_cal=90, n_test=40, streams=(4,), window=30),
     }
 
-    @pytest.mark.parametrize("beta", [0.1, 0.3])
+    # beta=0.05 with a 20-score window puts the rank on the window's last score
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.3])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bitwise_equal_to_per_stream_calibrator(self, case, beta):
         spec = self.CASES[case]
@@ -254,3 +262,5 @@ class TestBatchedEquivalence:
         assert cov == cf.empirical_coverage(ref_lo, ref_hi, y[n:])
         if case == "infinite_bands":
             assert np.isinf(lo[0]).all() and np.isfinite(lo[-1]).all()
+        if case == "window_of_one":
+            assert np.isinf(lo).all() and np.isinf(hi).all()

@@ -161,12 +161,14 @@ class TestConv1d:
         out = T.conv1d(Tensor(np.zeros((1, m))), Tensor(np.zeros((1, 1, s))))
         assert out.shape[-1] == m - s + 1
 
-    def test_gradient(self):
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_gradient(self, with_bias):
         x = Tensor(_rand((2, 2, 9), 14), requires_grad=True)
         k = Tensor(_rand((3, 2, 3), 15), requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True) if with_bias else None
         w = _rand((2, 3, 9 - 3 + 1), 16)
-        gradcheck_op(lambda: (T.conv1d(x, k, b) * w).sum(), [x, k, b])
+        params = [x, k, b] if with_bias else [x, k]
+        gradcheck_op(lambda: (T.conv1d(x, k, b) * w).sum(), params)
 
 
 def _einsum_conv1d(x, kernel, bias, g):
@@ -194,6 +196,12 @@ class TestConv1dMatchesEinsumKernel:
         (4, 3, 3, 11),  # C_out != C_in
         (2, 5, 7, 7),  # kernel as long as the input: one output step
         (6, 6, 1, 5),
+        (1, 1, 2, 9),  # one channel in and out, even kernel
+        (3, 1, 4, 16),  # one input channel
+        (1, 4, 5, 6),  # one output channel, two output steps
+        (5, 7, 2, 3),  # C_in > C_out, even kernel
+        (8, 2, 3, 64),  # long series: many windows per row block
+        (16, 8, 2, 12),  # a gated branch: C_out = 2 C_in over a 12-step window
     ])
     def test_output_and_gradients(self, lead, with_bias, c_out, c_in, s, length):
         rng = np.random.default_rng(42)
