@@ -38,6 +38,9 @@ def _read_config_file(path) -> dict:
         if not sep:
             raise DataError(f"{path}: malformed config line {line!r}")
         values[key.strip()] = raw.strip()
+    unknown = sorted(set(values) - _MODEL_KEYS.keys() - _TRAIN_KEYS.keys())
+    if unknown:
+        raise DataError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     return values
 
 
@@ -239,6 +242,9 @@ def _cmd_train(args) -> int:
 
 def _model_from_checkpoint(path):
     cfg, state, extras = load_checkpoint(path)
+    missing = sorted({"norm_mean", "norm_std", "a_stad", "strg_mask", "a_stag"} - extras.keys())
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks {', '.join(f'extra/{m}' for m in missing)}")
     stats = training.NormalizationStats(mean=extras["norm_mean"], std=extras["norm_std"])
     stad = StadMatrix(adjacency=extras["a_stad"], distances=1.0 - extras["a_stad"])
     mask = extras["strg_mask"]

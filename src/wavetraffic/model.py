@@ -12,6 +12,7 @@ every registered weight.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from . import wavelet
-from .errors import DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError
 from .graph import GraphBundle
 from .tensor import Graph, Tensor
 
@@ -205,15 +206,14 @@ class Model:
             return T.matmul(rows, w).reshape(bands, heads, b_sz, c, m, dh)
 
         q, k, v = project("wq"), project("wk"), project("wv")
-        logits = T.matmul(q, k.transpose((0, 1, 2, 3, 5, 4))) * (1.0 / np.sqrt(dh)) + a_prev
+        logits = T.attention_logits(q, k, a_prev, 1.0 / np.sqrt(dh))  # (J, H, B, c, M, M)
         # carried logits stay per batch element so windows are processed
         # independently of how they are batched
         new_logits = logits.mean(axis=3, keepdims=True)
-        attn = T.softmax_last(logits)  # (J, H, B, c, M, M)
         if collect is not None:
-            collect.append(attn)
+            collect.append(T.softmax_last(logits))
         merged = (
-            T.matmul(attn, v)
+            T.softmax_matmul(logits, v)
             .transpose((0, 2, 3, 4, 1, 5))
             .reshape(bands, b_sz * c * m, heads * dh)
         )
@@ -239,9 +239,8 @@ class Model:
         rows = y_e.reshape(1, b_sz * n, cfg.width)
         kh = T.matmul(rows, self._p(f"{pre}.wk")).reshape(order, b_sz, n, sh)
         qh = T.matmul(rows, self._p(f"{pre}.wq")).reshape(order, b_sz, n, sh)
-        logits = T.matmul(kh, qh.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(sh))
-        logits = logits + self._p(f"{pre}.wm") * self._mask
-        return T.softmax_last(logits)
+        bias = self._p(f"{pre}.wm") * self._mask
+        return T.softmax_last(T.attention_logits(kh, qh, bias, 1.0 / np.sqrt(sh)))
 
     def cheb_graph_conv(self, x: Tensor, attn: Tensor, block: int) -> Tensor:
         """z = sum_k ((T_k(Lt) * P^(k)) x) theta_k over the node axis.
@@ -272,10 +271,7 @@ class Model:
         branches = []
         for i, _s in enumerate(cfg.kernel_sizes):
             q = T.conv1d(z, self._p(f"{pre}.kernel{i}"), bias=self._p(f"{pre}.kbias{i}"))
-            e = q[:, :, :c, :]
-            f = q[:, :, c:, :]
-            gated = T.tanh(e) * T.sigmoid(f)
-            branches.append(T.avg_pool_last(gated, cfg.pool_window))
+            branches.append(T.avg_pool_last(T.gated_tanh(q, c), cfg.pool_window))
         cat = T.concat(branches, axis=-1)
         if cat.shape[-1] != cfg.window:
             raise DimensionError(
@@ -357,14 +353,21 @@ def _config_from_text(text: str) -> ModelConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key == "filter_name":
-            kwargs[key] = raw
-        elif key == "kernel_sizes":
-            kwargs[key] = tuple(int(v) for v in raw.split(","))
-        elif key == "eps":
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = int(raw)
+        if key not in _CONFIG_FIELDS:
+            raise DataError(f"checkpoint config: unknown key {key!r}")
+        try:
+            if key == "filter_name":
+                kwargs[key] = raw
+            elif key == "kernel_sizes":
+                kwargs[key] = tuple(int(v) for v in raw.split(","))
+            elif key == "eps":
+                kwargs[key] = float(raw)
+            else:
+                kwargs[key] = int(raw)
+        except ValueError:
+            raise DataError(f"checkpoint config: bad value {key}={raw!r}") from None
+    if "nodes" not in kwargs:
+        raise DataError("checkpoint config: no nodes entry")
     return ModelConfig(**kwargs)
 
 
@@ -391,14 +394,34 @@ def save_checkpoint(path, cfg: ModelConfig, state: dict[str, np.ndarray],
 
 
 def load_checkpoint(path):
-    """Returns (config, parameter state dict, extras dict)."""
-    with zipfile.ZipFile(path, "r") as zf:
-        cfg = _config_from_text(zf.read("config.txt").decode())
+    """Returns (config, parameter state dict, extras dict).
+
+    A file that is not a zip archive, a missing entry, an unknown or
+    unparsable config line and a tensor whose byte length disagrees with
+    its manifest shape each raise ``DataError``.
+    """
+    try:
+        zf = zipfile.ZipFile(path, "r")
+    except zipfile.BadZipFile:
+        raise DataError(f"{path}: not a checkpoint archive") from None
+
+    def read(name):
+        try:
+            return zf.read(name)
+        except KeyError:
+            raise DataError(f"{path}: checkpoint has no entry {name!r}") from None
+
+    with zf:
+        cfg = _config_from_text(read("config.txt").decode())
         state, extras = {}, {}
-        for line in zf.read("manifest.txt").decode().strip().splitlines():
+        for line in read("manifest.txt").decode().strip().splitlines():
             name, _, shape_txt = line.partition("\t")
             shape = tuple(int(s) for s in shape_txt.split(",") if s)
-            arr = np.frombuffer(zf.read(f"tensors/{name}"), dtype="<f8").reshape(shape)
+            raw = read(f"tensors/{name}")
+            if len(raw) != 8 * math.prod(shape):
+                raise DataError(f"{path}: tensor {name!r} has {len(raw)} bytes, "
+                                f"its manifest shape {shape} needs {8 * math.prod(shape)}")
+            arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
             if name.startswith("extra/"):
                 extras[name[len("extra/"):]] = arr.copy()
             else:

@@ -24,6 +24,9 @@ __all__ = [
     "matmul",
     "einsum",
     "softmax_last",
+    "attention_logits",
+    "softmax_matmul",
+    "gated_tanh",
     "layer_norm",
     "conv1d",
     "avg_pool_last",
@@ -71,7 +74,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A float64 array node in the differentiation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -340,19 +343,92 @@ def sigmoid(t: Tensor) -> Tensor:
     return Tensor._result(data, (t,), backward)
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a softmax with output ``p``, upstream ``g``."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
 def softmax_last(t: Tensor) -> Tensor:
     """Softmax along the last axis, max-shifted for stability."""
     t = _as_tensor(t)
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = _softmax(t.data)
 
     def backward(g):
         if t.requires_grad:
-            dot = (g * data).sum(axis=-1, keepdims=True)
-            t._accumulate(data * (g - dot))
+            t._accumulate(_softmax_grad(data, g))
 
     return Tensor._result(data, (t,), backward)
+
+
+# The three fused ops below are one graph node each. Their forward and
+# backward repeat the arithmetic of the composed ops they replace, array
+# for array, so values and gradients are the same bits; the graph just
+# keeps no intermediate node (and no gradient array for one).
+
+
+def attention_logits(q: Tensor, k: Tensor, bias: Tensor, scale: float) -> Tensor:
+    """``q @ kᵀ * scale + bias``: attention logits in one node.
+
+    ``q`` (..., R, d) and ``k`` (..., S, d) give (..., R, S) logits;
+    ``bias`` broadcasts against them.
+    """
+    q, k, bias = _as_tensor(q), _as_tensor(k), _as_tensor(bias)
+    if q.shape[-1] != k.shape[-1]:
+        raise DimensionError(f"attention_logits: feature extents of {q.shape} and {k.shape} differ")
+    k_t = np.swapaxes(k.data, -1, -2)
+    data = np.matmul(q.data, k_t) * scale + bias.data
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        gs = g * scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(np.matmul(gs, k.data), q.shape))
+        if k.requires_grad:
+            gk_t = _unbroadcast(np.matmul(np.swapaxes(q.data, -1, -2), gs), k_t.shape)
+            k._accumulate(np.swapaxes(gk_t, -1, -2))
+
+    return Tensor._result(data, (q, k, bias), backward)
+
+
+def softmax_matmul(logits: Tensor, v: Tensor) -> Tensor:
+    """``softmax_last(logits) @ v`` in one node; the weights stay in the closure."""
+    logits, v = _as_tensor(logits), _as_tensor(v)
+    p = _softmax(logits.data)
+    data = np.matmul(p, v.data)
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.shape))
+        if logits.requires_grad:
+            logits._accumulate(_softmax_grad(p, np.matmul(g, np.swapaxes(v.data, -1, -2))))
+
+    return Tensor._result(data, (logits, v), backward)
+
+
+def gated_tanh(q: Tensor, c: int) -> Tensor:
+    """``tanh(q[..., :c, :]) * sigmoid(q[..., c:, :])`` in one node.
+
+    The backward writes both halves of the input gradient into one array.
+    """
+    q = _as_tensor(q)
+    th = np.tanh(q.data[..., :c, :])
+    sg = 1.0 / (1.0 + np.exp(-q.data[..., c:, :]))
+    data = th * sg
+
+    def backward(g):
+        if q.requires_grad:
+            gq = np.empty_like(q.data)
+            gq[..., :c, :] = g * sg * (1.0 - th * th)
+            gq[..., c:, :] = g * th * sg * (1.0 - sg)
+            q._accumulate(gq)
+
+    return Tensor._result(data, (q,), backward)
 
 
 def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:

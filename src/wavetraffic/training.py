@@ -201,6 +201,8 @@ def fit(model: Model, train_windows, val_windows, cfg: TrainConfig = TrainConfig
             model.graph.load_state(updated)
             epoch_loss += loss.item()
             n_batches += 1
+            # the step's graph hangs off these two; free it before the next forward
+            del pred, loss
         val_loss, val_abs, val_count = 0.0, 0.0, 0
         for lo in range(0, len(va_x), cfg.batch_size):
             pred = model.predict(va_x[lo : lo + cfg.batch_size])

@@ -55,6 +55,30 @@ def gradcheck_op(build_loss, params, rtol=1e-4):
         assert_grads_close(analytic, num, rtol=rtol)
 
 
+# The fused tensor ops as the chains of graph ops they replaced: each fused
+# op must match its chain bit for bit, forward and backward.
+
+
+def composed_attention_logits(q, k, bias, scale):
+    axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    return T.matmul(q, k.transpose(axes)) * scale + bias
+
+
+def composed_softmax_matmul(logits, v):
+    return T.matmul(T.softmax_last(logits), v)
+
+
+def composed_gated_tanh(q, c):
+    return T.tanh(q[..., :c, :]) * T.sigmoid(q[..., c:, :])
+
+
+COMPOSED_OPS = {
+    "attention_logits": composed_attention_logits,
+    "softmax_matmul": composed_softmax_matmul,
+    "gated_tanh": composed_gated_tanh,
+}
+
+
 @pytest.fixture(scope="session")
 def toy_setup():
     """Small graph bundle + config used by most model tests."""

@@ -1,6 +1,7 @@
 import csv
 import re
 import shlex
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,54 @@ class TestMalformedInput:
         self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path),
                              "--config", str(cfg_file)], capsys,
                             "config value epochs='abc' is not int")
+
+    def test_config_unknown_key(self, dataset, tmp_path, capsys):
+        data_path, _ = dataset
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("epoch=7\nlr=1e-3\npatience=3\n")
+        self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path / "run"),
+                             "--config", str(cfg_file)], capsys,
+                            "unknown config key(s): epoch, patience")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("not_zip", "not a checkpoint archive"),
+        ("unknown_config_key", "checkpoint config: unknown key 'dropout'"),
+        ("bad_config_value", "checkpoint config: bad value blocks='one'"),
+        ("no_nodes", "checkpoint config: no nodes entry"),
+        ("missing_entry", "checkpoint has no entry 'tensors/block0.gc.theta'"),
+        ("short_tensor", "tensor 'block0.gc.theta' has"),
+        ("missing_extra", "checkpoint lacks extra/norm_mean"),
+    ])
+    def test_forecast_malformed_checkpoint(self, trained, dataset, tmp_path, capsys,
+                                           fault, message):
+        edits = {
+            "unknown_config_key": ("config.txt", lambda data: data + b"dropout=1\n"),
+            "bad_config_value": ("config.txt",
+                                 lambda data: data.replace(b"blocks=1", b"blocks=one")),
+            "no_nodes": ("config.txt", lambda data: data.replace(b"nodes=4\n", b"")),
+            "missing_entry": ("tensors/block0.gc.theta", lambda data: None),
+            "short_tensor": ("tensors/block0.gc.theta", lambda data: data[:-8]),
+            "missing_extra": ("manifest.txt", lambda data: b"\n".join(
+                line for line in data.split(b"\n") if not line.startswith(b"extra/norm_mean"))),
+        }
+        bad = tmp_path / "bad.bin"
+        if fault == "not_zip":
+            bad.write_text("epoch,loss\n1,0.5\n")
+        else:
+            target, edit = edits[fault]
+            with zipfile.ZipFile(trained / "checkpoint.bin") as src, \
+                    zipfile.ZipFile(bad, "w") as dst:
+                for info in src.infolist():
+                    data = src.read(info)
+                    data = edit(data) if info.filename == target else data
+                    if data is not None:
+                        dst.writestr(info, data)
+        data_path, _ = dataset
+        out = tmp_path / "out.csv"
+        self._fails_cleanly(["forecast", "--checkpoint", str(bad), "--data", str(data_path),
+                             "--out", str(out)], capsys, message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("model,d1,d2\nalpha,1.0,1.1\nbeta,2.0,n/a\n", "row 3: could not convert"),

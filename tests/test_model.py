@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import COMPOSED_OPS
 from wavetraffic import tensor as T
+from wavetraffic import training
 from wavetraffic.errors import DimensionError, ParameterError
+from wavetraffic.graph import build_graph_bundle
 from wavetraffic.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from wavetraffic.tensor import Graph, Tensor
 
@@ -144,6 +147,69 @@ class TestPredictIsGraphFree:
         for name, grad in plain.items():
             assert np.any(grad), name
             assert np.array_equal(after_predict[name], grad), name
+
+
+# the benchmark's small config and the paper config (at a small batch)
+_SCALES = {
+    "small": (dict(nodes=8, channels=4, blocks=2, width=3, heads=3, level=2), 32),
+    "paper": (dict(nodes=32), 2),
+}
+
+
+class TestFusedOpsLeaveModelBitsUnchanged:
+    """The fused attention and gate nodes against the op chains they replaced."""
+
+    @staticmethod
+    def _setup(scale):
+        kwargs, batch = _SCALES[scale]
+        rng = np.random.default_rng(31)
+        n = kwargs["nodes"]
+        bundle = build_graph_bundle(np.abs(rng.normal(5.0, 1.0, size=(n, 120))), p_sp=0.25)
+        cfg = ModelConfig(**kwargs)
+        x = _window_batch(cfg, batch=batch, seed=32)
+        target = rng.normal(size=(batch, n, cfg.horizon))
+        return cfg, bundle, x, target
+
+    @staticmethod
+    def _run(cfg, bundle, x, target):
+        model = Model(cfg, bundle, seed=4)
+        out, collected = model.forward(x, collect_attention=True)
+        grads = model.graph.backward(T.huber_loss(out, target))
+        return out.data, [a.data for a in collected], grads
+
+    @pytest.mark.parametrize("scale", sorted(_SCALES))
+    def test_outputs_attention_and_gradients(self, scale, monkeypatch):
+        cfg, bundle, x, target = self._setup(scale)
+        fused = self._run(cfg, bundle, x, target)
+        for name, op in COMPOSED_OPS.items():
+            monkeypatch.setattr(T, name, op)
+        composed = self._run(cfg, bundle, x, target)
+        assert np.array_equal(fused[0], composed[0])
+        assert len(fused[1]) == len(composed[1]) == 2 * cfg.blocks
+        for got, ref in zip(fused[1], composed[1]):
+            assert np.array_equal(got, ref)
+            np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
+        assert fused[2].keys() == composed[2].keys()
+        for name, grad in fused[2].items():
+            assert np.array_equal(grad, composed[2][name]), name
+
+    def test_training_run(self, monkeypatch):
+        cfg, bundle, x, _ = self._setup("small")
+        rng = np.random.default_rng(33)
+        windows = (rng.normal(size=(20,) + x.shape[1:]),
+                   rng.normal(size=(20, cfg.nodes, cfg.horizon)))
+        train_cfg = training.TrainConfig(epochs=2, lr=1e-3, batch_size=8, seed=1)
+
+        def run():
+            return training.fit(Model(cfg, bundle, seed=4), windows, windows, train_cfg)
+
+        fused = run()
+        for name, op in COMPOSED_OPS.items():
+            monkeypatch.setattr(T, name, op)
+        composed = run()
+        for name, value in fused.final_state.items():
+            assert np.array_equal(value, composed.final_state[name]), name
+        assert [r["val_mae"] for r in fused.log] == [r["val_mae"] for r in composed.log]
 
 
 class TestAttentionProperties:

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grads_close, finite_difference, gradcheck_op
+from conftest import (
+    assert_grads_close, composed_attention_logits, composed_gated_tanh, composed_softmax_matmul,
+    finite_difference, gradcheck_op,
+)
 from wavetraffic import tensor as T
 from wavetraffic.errors import DimensionError, ParameterError
 from wavetraffic.tensor import Graph, Tensor
@@ -123,6 +126,89 @@ class TestLayerNormMatchesComposedOps:
         for name, a, r in zip(("input", "gain", "bias"), grads, ref_grads):
             assert a.shape == r.shape, name
             assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
+def _value_and_grads(build, arrays):
+    """Forward data, then the gradient of every input, of ``build(*inputs)``."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*inputs)
+    g = np.random.default_rng(44).normal(size=out.shape)
+    Graph().backward((out * g).sum())
+    return [out.data] + [t.grad for t in inputs]
+
+
+def _assert_bit_equal(fused, composed, arrays):
+    got, ref = _value_and_grads(fused, arrays), _value_and_grads(composed, arrays)
+    for name, a, r in zip(["output"] + [f"input {i}" for i in range(len(arrays))], got, ref):
+        assert a.shape == r.shape, name
+        assert np.array_equal(a, r), name
+
+
+# (leading shape of q, k and v, bias shape) as the model calls the attention ops
+_ATTENTION_CASES = {
+    "temporal_first_block": ((2, 3, 2, 1, 5), (5, 5)),  # (J, H, B, c, M), (M, M)
+    "temporal_carried": ((2, 3, 2, 2, 5), (2, 3, 2, 1, 5, 5)),  # bias (J, H, B, 1, M, M)
+    "spatial": ((3, 2, 4), (3, 1, 4, 4)),  # (K, B, N), bias (K, 1, N, N)
+}
+
+
+class TestFusedOpsMatchComposedOps:
+    @pytest.mark.parametrize("dh", [1, 11])
+    @pytest.mark.parametrize("case", sorted(_ATTENTION_CASES))
+    def test_attention_logits(self, case, dh):
+        lead, bias_shape = _ATTENTION_CASES[case]
+        rng = np.random.default_rng(dh)
+        arrays = [rng.normal(size=lead + (dh,)), rng.normal(size=lead + (dh,)),
+                  rng.normal(size=bias_shape)]
+        scale = 1.0 / np.sqrt(dh)
+        _assert_bit_equal(lambda q, k, b: T.attention_logits(q, k, b, scale),
+                          lambda q, k, b: composed_attention_logits(q, k, b, scale), arrays)
+
+    @pytest.mark.parametrize("dh", [1, 11])
+    @pytest.mark.parametrize("case", sorted(_ATTENTION_CASES))
+    def test_attention_core(self, case, dh):
+        # logits -> softmax -> weights @ v, with every input's gradient
+        lead, bias_shape = _ATTENTION_CASES[case]
+        rng = np.random.default_rng(dh + 1)
+        arrays = [rng.normal(size=lead + (dh,)) for _ in range(3)] + [rng.normal(size=bias_shape)]
+        scale = 1.0 / np.sqrt(dh)
+
+        def chain(logits_op, softmax_matmul_op):
+            return lambda q, k, v, b: softmax_matmul_op(logits_op(q, k, b, scale), v)
+
+        _assert_bit_equal(chain(T.attention_logits, T.softmax_matmul),
+                          chain(composed_attention_logits, composed_softmax_matmul), arrays)
+
+    @pytest.mark.parametrize("shape, c", [((3, 4, 10, 7), 5), ((2, 2, 2, 3), 1)])
+    def test_gated_tanh(self, shape, c):
+        arrays = [np.random.default_rng(45).normal(size=shape)]
+        _assert_bit_equal(lambda q: T.gated_tanh(q, c),
+                          lambda q: composed_gated_tanh(q, c), arrays)
+
+    def test_attention_logits_rejects_feature_mismatch(self):
+        with pytest.raises(DimensionError):
+            T.attention_logits(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))),
+                               Tensor(0.0), 1.0)
+
+
+class TestFusedOpGradients:
+    def test_attention_logits(self):
+        q = Tensor(_rand((2, 3, 4), 50), requires_grad=True)
+        k = Tensor(_rand((2, 5, 4), 51), requires_grad=True)
+        bias = Tensor(_rand((1, 3, 5), 52), requires_grad=True)
+        w = _rand((2, 3, 5), 53)
+        gradcheck_op(lambda: (T.attention_logits(q, k, bias, 0.5) * w).sum(), [q, k, bias])
+
+    def test_softmax_matmul(self):
+        logits = Tensor(_rand((2, 3, 5), 54), requires_grad=True)
+        v = Tensor(_rand((2, 5, 4), 55), requires_grad=True)
+        w = _rand((2, 3, 4), 56)
+        gradcheck_op(lambda: (T.softmax_matmul(logits, v) * w).sum(), [logits, v])
+
+    def test_gated_tanh(self):
+        q = Tensor(_rand((2, 3, 4, 5), 57), requires_grad=True)
+        w = _rand((2, 3, 2, 5), 58)
+        gradcheck_op(lambda: (T.gated_tanh(q, 2) * w).sum(), [q])
 
 
 class TestConv1d:

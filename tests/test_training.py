@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,3 +209,29 @@ class TestFit:
             tr.TrainConfig(batch_size=0)
         with pytest.raises(ParameterError):
             tr.TrainConfig(huber_delta=0.0)
+
+
+class TestGraphLifetime:
+    def test_step_graph_freed_before_next_forward(self, toy_setup_module):
+        cfg, bundle, (x, y) = toy_setup_module
+        model = Model(cfg, bundle, seed=3)
+        real_forward = model.forward
+        outputs, alive_at_entry = [], []
+
+        def forward(inputs, *args, **kwargs):
+            alive_at_entry.append([ref() is not None for ref in outputs])
+            out = real_forward(inputs, *args, **kwargs)
+            outputs.append(weakref.ref(out))
+            return out
+
+        model.forward = forward
+        # refcounting alone must free the graph: no cycle left for the collector
+        gc.disable()
+        try:
+            tr.fit(model, (x[:48], y[:48]), (x[:8], y[:8]),
+                   tr.TrainConfig(epochs=2, lr=1e-3, batch_size=16))
+        finally:
+            gc.enable()
+        assert len(alive_at_entry) == 2 * (3 + 1)  # three steps and one validation batch
+        for entry, alive in enumerate(alive_at_entry):
+            assert not any(alive), f"forward call {entry} entered with an earlier graph alive"
