@@ -19,7 +19,6 @@ __all__ = [
     "weighted_quantile",
     "interval",
     "empirical_coverage",
-    "rolling_uncertainty",
     "ConformalCalibrator",
     "calibrate_stream",
 ]
@@ -72,23 +71,6 @@ def empirical_coverage(lo, hi, y) -> float:
             f"empirical_coverage: misaligned shapes {lo.shape}, {hi.shape}, {y.shape}"
         )
     return float(np.mean((y >= lo) & (y <= hi)))
-
-
-def rolling_uncertainty(residuals, window: int) -> np.ndarray:
-    """Causal rolling mean absolute residual.
-
-    Entry t uses residuals [t-window, t); the first entry uses the
-    final value of the seed array handed to the calibrator instead, so
-    this helper expects at least one residual before the first forecast.
-    """
-    r = np.abs(np.asarray(residuals, dtype=np.float64))
-    out = np.empty(len(r))
-    csum = np.concatenate([[0.0], np.cumsum(r)])
-    for t in range(len(r)):
-        lo = max(0, t - window)
-        width = t - lo
-        out[t] = (csum[t] - csum[lo]) / width if width else r[0]
-    return np.maximum(out, _XI_FLOOR)
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """CSV ingestion and output plus the seeded synthetic traffic generator.
 
 Every numeric CSV is written by :func:`save_table`: 12 significant digits
-per cell, so save/load round trips are value-exact at that precision.
+per cell, so save/load round trips are value-exact at that precision. Both
+hot paths work a block at a time: the writer formats up to ``_BLOCK_ROWS``
+rows with one ``%`` call, and :func:`load_csv` parses the whole body with
+one ``np.loadtxt`` call, falling back to a row scan only to name a fault.
 """
 
 from __future__ import annotations
@@ -36,11 +39,43 @@ def load_csv(path) -> np.ndarray:
     """Read a sensors-as-columns CSV into a (N, 1, M) tensor.
 
     The header row holds sensor identifiers; every cell must parse as a
-    finite number, and all rows must have the same width.
+    finite number, and all rows must have the same width. The header goes
+    through ``csv.reader``, so quoted names work; the body is parsed in one
+    ``np.loadtxt`` call. Only when that parse fails or a check trips (width,
+    finiteness, a blank line, which ``np.loadtxt`` would skip, or a lone
+    ``\\r``) is the file read again row by row, and that scan names the
+    faulty row and column in its :class:`DataError`.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        body = fh.read()
+    table = None if header is None else _parse_body(body, len(header))
+    if table is None:
+        table = _scan_rows(path)
+    return table.T[:, None, :]  # (N, 1, M)
+
+
+def _parse_body(body: str, width: int):
+    """The CSV body as a (rows, width) array, or None when only the row
+    scan can tell whether the file is valid."""
+    if (not body or body.count("\r") != body.count("\r\n")
+            or body.startswith(("\n", "\r\n")) or "\n\n" in body or "\n\r\n" in body):
+        return None
+    try:
+        table = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _scan_rows(path) -> np.ndarray:
+    """Parse the CSV one row at a time; raises a DataError at the first
+    empty file, missing body, ragged row, non-numeric or non-finite cell."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -69,26 +104,55 @@ def load_csv(path) -> np.ndarray:
             rows.append(values)
     if not rows:
         raise DataError(f"{path}: no observations")
-    return np.asarray(rows, dtype=np.float64).T[:, None, :]  # (N, 1, M)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_table(path, table, header=None):
-    """Write a 2-D numeric array as CSV rows ended by ``\\r\\n``.
+    """Write a numeric table as CSV rows ended by ``\\r\\n``.
 
-    Every cell is written as ``%.12g``, the text :func:`fmt` gives, so
-    integer-valued cells below 1e12 print as plain integers. The optional
-    header row goes through ``csv.writer``, which quotes names as needed.
+    ``table`` is a 2-D array of rows, or a list of equal-length 1-D numpy
+    arrays, one per column. Cells are written as ``%.12g``, the text
+    :func:`fmt` gives, so integer-valued cells below 1e12 print as plain
+    integers; a column of integer or bool dtype is written with ``%d``,
+    which gives the same bytes, unless a value reaches 1e12 in magnitude.
+    The optional header row goes through ``csv.writer``, which quotes names
+    as needed, and must name every column. Rows are formatted
+    ``_BLOCK_ROWS`` at a time with one ``%`` call per block.
     """
-    table = np.asarray(table, dtype=np.float64)
-    if table.ndim != 2:
-        raise DimensionError(f"save_table: need a 2-D table, got shape {table.shape}")
-    row = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
+    if isinstance(table, list) and table and all(
+            isinstance(c, np.ndarray) and c.ndim == 1 for c in table):
+        columns, n_rows = table, len(table[0])
+        if any(len(c) != n_rows for c in columns):
+            raise DimensionError(
+                f"save_table: columns of unequal length {[len(c) for c in columns]}")
+    else:
+        table = np.asarray(table, dtype=np.float64)
+        if table.ndim != 2:
+            raise DimensionError(f"save_table: need a 2-D table, got shape {table.shape}")
+        columns, n_rows = list(table.T), len(table)
+    if header is not None and len(header) != len(columns):
+        raise DimensionError(
+            f"save_table: header names {len(header)} columns, table has {len(columns)}")
+    cells = [_column_cells(c) for c in columns]
+    row = ",".join(spec for spec, _ in cells) + "\r\n"
     with open(path, "w", newline="") as fh:
         if header is not None:
             csv.writer(fh).writerow(header)
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS].tolist()
-            fh.write("".join([row % tuple(cells) for cells in block]))
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n_rows - start)
+            flat = [None] * (rows * len(cells))
+            for j, (_, values) in enumerate(cells):  # interleave columns into row order
+                flat[j::len(cells)] = values[start:start + rows].tolist()
+            fh.write((row * rows) % tuple(flat))
+
+
+def _column_cells(column: np.ndarray):
+    """(format, values) for one column: ``%d`` on integers below 1e12,
+    where it prints what ``%.12g`` does, and ``%.12g`` on float64 otherwise."""
+    if column.dtype.kind in "biu" and (
+            not len(column) or (column.min() > -1e12 and column.max() < 1e12)):
+        return "%d", column
+    return "%.12g", column.astype(np.float64, copy=False)
 
 
 def save_csv(path, x, header=None):
@@ -164,8 +228,8 @@ def save_forecasts(path, y, pred, intervals=None):
             raise DataError("save_forecasts: interval shapes misaligned")
         header = _FORECAST_COLUMNS
         columns += [lo, hi, (lo <= y) & (y <= hi)]
-    keys = np.indices(y.shape).reshape(3, -1).T + [0, 0, 1]
-    save_table(path, np.column_stack([keys] + [c.ravel() for c in columns]), header=header)
+    t, node, step = np.indices(y.shape).reshape(3, -1)
+    save_table(path, [t, node, step + 1] + [c.ravel() for c in columns], header=header)
 
 
 def load_forecasts(path):

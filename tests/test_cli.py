@@ -220,6 +220,27 @@ class TestConformalEvaluateMcb:
         assert code == 1
         assert "calibration streams (4, 6) != test (4, 12)" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("empty_arg", ["--calibration", "--test"])
+    def test_conformal_rejects_header_only_file(self, forecast_pair, tmp_path, capsys,
+                                                 empty_arg):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t,node,step,y,pred\n")
+        files = {"--calibration": str(forecast_pair / "val.csv"),
+                 "--test": str(forecast_pair / "test.csv"), empty_arg: str(empty)}
+        code = main(["conformal", *(a for kv in files.items() for a in kv),
+                     "--out", str(tmp_path / "bands.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: no forecast rows\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_evaluate_rejects_header_only_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t,node,step,y,pred,lo,hi,covered\n")
+        code = main(["evaluate", "--forecasts", str(empty), "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: no forecast rows\n"
+
     def test_evaluate_output(self, forecast_pair, tmp_path):
         out = tmp_path / "metrics.csv"
         assert main(["evaluate", "--forecasts", str(forecast_pair / "test.csv"),

@@ -89,17 +89,6 @@ class TestIntervalAndCoverage:
             cf.empirical_coverage([0.0], [1.0, 2.0], [0.5])
 
 
-class TestRollingUncertainty:
-    def test_windowed_mean(self):
-        r = np.array([1.0, 3.0, 5.0, 7.0])
-        out = cf.rolling_uncertainty(r, window=2)
-        np.testing.assert_allclose(out, [1.0, 1.0, 2.0, 4.0])
-
-    def test_floor(self):
-        out = cf.rolling_uncertainty(np.zeros(4), window=2)
-        np.testing.assert_allclose(out, 1e-8)
-
-
 class TestCalibrator:
     def test_requires_seeding(self):
         cal = cf.ConformalCalibrator(window=10, beta=0.1)

@@ -1,7 +1,10 @@
 import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavetraffic import data_io as dio
 from wavetraffic.errors import DataError, DimensionError, ParameterError
@@ -236,6 +239,210 @@ class TestSaveTable:
     def test_needs_two_dimensions(self, tmp_path):
         with pytest.raises(DimensionError):
             dio.save_table(tmp_path / "x.csv", np.zeros(3))
+
+    @pytest.mark.parametrize("header", [["a"], ["a", "b", "c"]])
+    def test_header_must_name_every_column(self, tmp_path, header):
+        with pytest.raises(DimensionError, match=f"header names {len(header)} columns"):
+            dio.save_table(tmp_path / "x.csv", np.zeros((2, 2)), header=header)
+        with pytest.raises(DimensionError, match=f"header names {len(header)} columns"):
+            dio.save_table(tmp_path / "x.csv", [np.zeros(2), np.arange(2)], header=header)
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(DimensionError, match="unequal length"):
+            dio.save_table(tmp_path / "x.csv", [np.zeros(3), np.arange(2)])
+
+
+def _per_row_reference(columns, header):
+    """The CSV text of a per-row writer: every cell as ``%.12g`` of its float."""
+    out = io.StringIO(newline="")
+    if header is not None:
+        csv.writer(out).writerow(header)
+    for row in zip(*columns):
+        out.write(",".join("%.12g" % float(v) for v in row) + "\r\n")
+    return out.getvalue().encode()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                   1.7976931348623157e308, 999999999999.0, 1e12, -1e12, 123456789012.5]
+_EDGE_INTS = [0, -1, 999999999999, -999999999999, 10**12, -10**12, 2**53 + 1]
+
+
+@st.composite
+def _tables(draw):
+    """Columns of float, integer or bool dtype over 0, 1 and block-edge row counts."""
+    n = draw(st.sampled_from([0, 1, 2, 4095, 4096, 4097]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "bool", "whole"]),
+                              min_size=1, max_size=5)):
+        if kind == "float":  # every binade, subnormals included, plus drawn values
+            pool = _SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=8))
+            col = np.ldexp(rng.uniform(1, 2, n) * rng.choice([-1, 1], n),
+                           rng.integers(-1080, 1024, n))
+            picks = rng.random(n) < 0.3
+            col[picks] = rng.choice(np.array(pool), picks.sum())
+        elif kind == "int":
+            pool = _EDGE_INTS + draw(st.lists(st.integers(-2**62, 2**62), max_size=4))
+            col = rng.choice(np.array(pool, dtype=np.int64), n)
+            if draw(st.booleans()):  # small keys, as in a forecast file
+                col = rng.integers(-5, 10**6, n)
+        elif kind == "bool":
+            col = rng.random(n) < 0.5
+        else:  # integer-valued floats up to and past 1e12
+            col = np.round(rng.choice([1.0, -1.0], n) * 10 ** rng.uniform(0, 13, n))
+        columns.append(col)
+    header = draw(st.none() | st.lists(
+        st.text(alphabet="ab,\" x", max_size=4), min_size=len(columns), max_size=len(columns)))
+    return columns, header
+
+
+class TestSaveTableBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(_tables())
+    @example(([np.arange(4097) - 2, np.linspace(-1, 1, 4097)], ['a,"b"', "c"]))
+    def test_columns_match_per_row_reference(self, tmp_path_factory, drawn):
+        columns, header = drawn
+        path = tmp_path_factory.mktemp("t") / "t.csv"
+        dio.save_table(path, columns, header=header)
+        assert path.read_bytes() == _per_row_reference(columns, header)
+        # the same cells as one float table give the same bytes
+        floats = np.column_stack([c.astype(np.float64) for c in columns])
+        dio.save_table(path, floats, header=header)
+        assert path.read_bytes() == _per_row_reference(columns, header)
+
+    def test_integer_columns_switch_format_at_1e12(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dio.save_table(path, [np.array([999999999999, -999999999999]),
+                              np.array([10**12, 5]), np.array([True, False])])
+        assert path.read_bytes() == (b"999999999999,1e+12,1\r\n"
+                                     b"-999999999999,5,0\r\n")
+
+    def test_forecast_keys_written_as_integers(self, tmp_path):
+        rng = np.random.default_rng(3)
+        y = rng.normal(0, 1e6, size=(3, 2, 4))
+        path = tmp_path / "fc.csv"
+        dio.save_forecasts(path, y, -y, intervals=(y - 1, y + 1))
+        keys = np.indices(y.shape).reshape(3, -1) + np.array([[0], [0], [1]])
+        columns = list(keys) + [y.ravel(), -y.ravel(), y.ravel() - 1, y.ravel() + 1,
+                                np.ones(y.size)]
+        assert path.read_bytes() == _per_row_reference(
+            columns, ["t", "node", "step", "y", "pred", "lo", "hi", "covered"])
+
+
+def _row_scan(path):
+    """Reference reader: one ``csv.reader`` row and one ``float()`` per cell."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        for r, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+            values = []
+            for c, cell in enumerate(row, start=1):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}") from None
+            if not all(np.isfinite(values)):
+                c = next(i for i, v in enumerate(values, start=1) if not np.isfinite(v))
+                raise DataError(f"{path}: non-finite value at row {r}, column {c}")
+            rows.append(values)
+    if not rows:
+        raise DataError(f"{path}: no observations")
+    return np.asarray(rows, dtype=np.float64).T[:, None, :]
+
+
+def _scan_outcome(fn, path):
+    try:
+        x = fn(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return "array", x.shape, x.dtype, x.tobytes()
+
+
+_CELL_TEXTS = [repr, "{:.12g}".format, lambda v: str(int(v)), lambda v: f" {v!r} "]
+
+
+class TestLoadCsvMatchesRowScan:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 30), width=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]), trailing=st.booleans(),
+           header=st.sampled_from([None, ['a,b', 'say "hi"']]))
+    def test_accepted_files_load_the_same_array(self, tmp_path_factory, rows, width, seed,
+                                                newline, trailing, header):
+        rng = np.random.default_rng(seed)
+        values = np.ldexp(rng.normal(size=(rows, width)), rng.integers(-1080, 1000, (rows, width)))
+        values[rng.random(values.shape) < 0.1] = -0.0
+        out = io.StringIO(newline="")
+        names = (header or []) + [f"s{i}" for i in range(width)]
+        csv.writer(out, lineterminator=newline).writerow(names[:width])
+        lines = [",".join(_CELL_TEXTS[rng.integers(len(_CELL_TEXTS))](v) for v in row)
+                 for row in values.tolist()]
+        out.write(newline.join(lines) + (newline if trailing else ""))
+        path = tmp_path_factory.mktemp("l") / "x.csv"
+        path.write_bytes(out.getvalue().encode())
+        got = _scan_outcome(dio.load_csv, path)
+        assert got == _scan_outcome(_row_scan, path)
+        assert got[0] == "array"
+
+    def test_clean_file_needs_no_row_scan(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        x = dio.synthetic(3, 600, seed=0)
+        dio.save_csv(path, x)
+        monkeypatch.setattr(dio, "_scan_rows", None)
+        np.testing.assert_allclose(dio.load_csv(path), x, rtol=1e-11)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n3,4\n",
+        "a,b\r\n1,2\r\n3,4",
+        '"x,1","y""2"\r\n1,2\r\n',
+        'a,b\n"1.5",2\n',  # quoted numeric cell
+        "a,b\n1_000,2\n",  # float() reads digit separators, np.loadtxt does not
+        "a\n 7 \n-0\n",
+    ])
+    def test_edge_files_load_the_same_array(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        got = _scan_outcome(dio.load_csv, path)
+        assert got == _scan_outcome(_row_scan, path)
+        assert got[0] == "array"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n\n3,4\n", "row 3 has 0 cells"),
+        ("a,b\r\n1,2\r\n\r\n3,4\r\n", "row 3 has 0 cells"),
+        ("a,b\n\n1,2\n", "row 2 has 0 cells"),
+        ("a,b\n1,2\n\n", "row 3 has 0 cells"),
+        ("a,b\n1,2\r3,4\n\n", "row 4 has 0 cells"),  # lone \r ends a row too
+        ("a,b\n1,2\n\r", "row 3 has 0 cells"),
+        ("a,b\n1,2\n3\n", "row 3 has 1 cells"),
+        ("a,b\n1,2\n3,4,5\n", "row 3 has 3 cells"),
+        ("a,b\n1,2,3\n4,5,6\n", "row 2 has 3 cells"),
+        ("a,b\n1,2\n3,oops\n", "non-numeric cell at row 3, column 2: 'oops'"),
+        ("a,b\n1,2\n3,\n", "non-numeric cell at row 3, column 2: ''"),
+        ('a,b\n"1,5",2\n', "non-numeric cell at row 2, column 1: '1,5'"),
+        ('a,b\n"1\n2",3\n', "non-numeric cell at row 2, column 1: '1\\n2'"),
+        ("a,b\n1,2\nnan,4\n", "non-finite value at row 3, column 1"),
+        ("a,b\n1,inf\n", "non-finite value at row 2, column 2"),
+        ("a,b\n1,-inf\n", "non-finite value at row 2, column 2"),
+        ("a,b\n1,1e999\n", "non-finite value at row 2, column 2"),
+        ("a,b\n", "no observations"),
+        ("a\n", "no observations"),
+        ("a,b", "no observations"),
+        ("", "empty file"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_rejected_files_raise_the_same_error(self, tmp_path, text, message):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        got = _scan_outcome(dio.load_csv, path)
+        assert got == _scan_outcome(_row_scan, path)
+        assert got[0] == "error" and message in got[1]
 
 
 class TestFmt:
