@@ -1,13 +1,15 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 runtime/data error, 2 usage error. Every
-subcommand is deterministic for fixed inputs, flags, and seeds.
+subcommand is deterministic for fixed inputs, flags, and seeds.A ``--config`` file sets the fields of ``ModelConfig`` and ``TrainConfig``
+that flags set, plus ``window`` and ``horizon``; flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -20,28 +22,18 @@ from .errors import DataError, ParameterError, WavetrafficError
 from .graph import (
     GraphBundle, StadMatrix, StrgMask, build_graph_bundle, chebyshev_basis, scaled_laplacian,
 )
-from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import (
+    Model, ModelConfig, load_checkpoint, parse_settings, save_checkpoint, settings_schema,
+)
 
 __all__ = ["main", "build_parser"]
 
 
 def _read_config_file(path) -> dict:
-    values = {}
     p = Path(path)
     if not p.exists():
         raise DataError(f"no such config file: {path}")
-    for line in p.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, raw = line.partition("=")
-        if not sep:
-            raise DataError(f"{path}: malformed config line {line!r}")
-        values[key.strip()] = raw.strip()
-    unknown = sorted(set(values) - _MODEL_KEYS.keys() - _TRAIN_KEYS.keys())
-    if unknown:
-        raise DataError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    return values
+    return parse_settings(p.read_bytes(), {**_MODEL_KEYS, **_TRAIN_KEYS}, path)
 
 
 def _parse_split(text: str) -> training.SplitSpec:
@@ -55,27 +47,17 @@ def _parse_split(text: str) -> training.SplitSpec:
     return training.SplitSpec(*(p / total for p in parts))
 
 
-_MODEL_KEYS = {
-    "blocks": int, "width": int, "heads": int, "level": int, "cheb_order": int,
-    "channels": int, "window": int, "horizon": int, "filter_name": str,
-}
-_TRAIN_KEYS = {
-    "epochs": int, "lr": float, "batch_size": int, "huber_delta": float, "seed": int,
-}
+# nodes comes from the data; kernel_sizes is fixed by the architecture
+_MODEL_KEYS = {key: cast for key, cast in settings_schema(ModelConfig).items()
+               if key not in ("nodes", "kernel_sizes")}
+_TRAIN_KEYS = settings_schema(training.TrainConfig)
 
 
-def _resolve(args, file_cfg: dict, keys: dict) -> dict:
-    out = {}
-    for key, cast in keys.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in file_cfg:
-            try:
-                out[key] = cast(file_cfg[key])
-            except ValueError:
-                raise DataError(f"config value {key}={file_cfg[key]!r} "
-                                f"is not {cast.__name__}") from None
+def _resolve(args, file_cfg: dict, keys) -> dict:
+    """The settings among ``keys`` given by a flag or, failing that, the config file."""
+    out = {key: file_cfg[key] for key in keys if key in file_cfg}
+    out.update({key: getattr(args, key) for key in keys
+                if getattr(args, key, None) is not None})
     return out
 
 
@@ -167,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_decompose(args) -> int:
     x = data_io.load_csv(args.input)
-    comps = wavelet.mra_batch(x, args.filter, args.level)
+    comps = wavelet.mra(x, args.filter, args.level)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = [f"detail{j}" for j in range(1, args.level + 1)] + [f"smooth{args.level}"]
@@ -181,6 +163,8 @@ def _cmd_decompose(args) -> int:
 def _stad_input(x, stad_window):
     series = x[:, 0, :]
     if stad_window is not None:
+        if stad_window < 2:
+            raise ParameterError(f"--stad-window must be at least 2, got {stad_window}")
         series = series[:, :stad_window]
     return series
 
@@ -198,16 +182,15 @@ def _cmd_build_graph(args) -> int:
 
 
 def _prepare_training(args):
-    x = data_io.load_csv(args.data)
     file_cfg = _read_config_file(args.config) if args.config else {}
+    train_cfg = training.TrainConfig(**_resolve(args, file_cfg, _TRAIN_KEYS))
     split_spec = _parse_split(args.split)
+    x = data_io.load_csv(args.data)
     train_seg, val_seg, test_seg = training.split(x, split_spec)
     stats = training.compute_stats(train_seg)
     bundle_input = _stad_input(train_seg, args.stad_window)
-    model_kwargs = _resolve(args, file_cfg, _MODEL_KEYS)
-    cfg = ModelConfig(nodes=len(x), **model_kwargs)
+    cfg = ModelConfig(nodes=len(x), **_resolve(args, file_cfg, _MODEL_KEYS))
     bundle = build_graph_bundle(bundle_input, p_sp=args.p_sp, cheb_order=cfg.cheb_order)
-    train_cfg = training.TrainConfig(**_resolve(args, file_cfg, _TRAIN_KEYS))
     spec = training.WindowSpec(cfg.window, cfg.horizon)
     tr = training.make_windows(training.normalize(train_seg, stats), spec)
     va = training.make_windows(training.normalize(val_seg, stats), spec)
@@ -277,11 +260,10 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_sweep_level(args) -> int:
+    base, bundle, stats, train_cfg, (tr, va, te) = _prepare_training(args)
     rows = []
     for level in args.levels:
-        args.level = level
-        cfg, bundle, stats, train_cfg, (tr, va, te) = _prepare_training(args)
-        model = Model(cfg, bundle, seed=train_cfg.seed)
+        model = Model(dataclasses.replace(base, level=level), bundle, seed=train_cfg.seed)
         result = training.fit(model, tr, va, train_cfg)
         model.graph.load_state(result.best_state)
         y, pred = training.predict_windows(model, te, stats)

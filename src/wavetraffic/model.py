@@ -7,13 +7,17 @@ convolution, and a three-branch gated temporal convolution. A final
 prediction layer maps the per-node channel/time stack to the forecast
 horizon. Everything is built on the reverse-mode engine in
 :mod:`wavetraffic.tensor`, so one backward pass yields gradients for
-every registered weight.
+every registered weight.A checkpoint's config and the CLI's ``--config`` files are ``key=value``
+lines typed by the config dataclass fields (:func:`parse_settings`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,8 @@ from .errors import DataError, DimensionError, ParameterError
 from .graph import GraphBundle
 from .tensor import Graph, Tensor
 
-__all__ = ["ModelConfig", "Model", "save_checkpoint", "load_checkpoint"]
+__all__ = ["ModelConfig", "Model", "save_checkpoint", "load_checkpoint", "settings_schema",
+           "parse_settings", "format_settings"]
 
 
 @dataclass
@@ -36,17 +41,18 @@ class ModelConfig:
     level: int = 2  # wavelet decomposition level; 0 disables the transform
     cheb_order: int = 3
     kernel_sizes: tuple = (3, 5, 7)
-    pool_window: int = 2
     channels: int = 32
     window: int = 12
     horizon: int = 12
-    in_channels: int = 1
     filter_name: str = "haar"
-    eps: float = 1e-8
+
+    pool_window: typing.ClassVar[int] = 2  # gated-branch average pooling
+    in_channels: typing.ClassVar[int] = 1  # one volume series per sensor
+    eps: typing.ClassVar[float] = 1e-8  # layer-norm variance floor
 
     def __post_init__(self):
         for name in ("nodes", "blocks", "width", "heads", "cheb_order",
-                     "pool_window", "channels", "window", "horizon", "in_channels"):
+                     "channels", "window", "horizon"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"ModelConfig.{name} must be positive")
         if self.level < 0:
@@ -331,44 +337,65 @@ class Model:
 
 # -- checkpointing ---------------------------------------------------------
 
-_CONFIG_FIELDS = [
-    "nodes", "blocks", "width", "heads", "level", "cheb_order", "kernel_sizes",
-    "pool_window", "channels", "window", "horizon", "in_channels", "filter_name", "eps",
-]
+def settings_schema(cls) -> dict[str, type]:
+    """Setting name -> annotated type for every field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _config_to_text(cfg: ModelConfig) -> str:
+def _text(data: bytes, source) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError:
+        raise DataError(f"{source}: not UTF-8 text") from None
+
+
+def parse_settings(data: bytes, schema: dict[str, type], source) -> dict:
+    """Typed values of the ``key=value`` lines of ``data``.
+
+    Blank lines and ``#`` comments are skipped. Each value is cast by its
+    ``schema`` type, a ``tuple`` being comma-separated ints. A line without
+    ``=``, an unknown or repeated key and a value that does not cast raise
+    ``DataError`` prefixed by ``source``.
+    """
+    raw = {}
+    for line in _text(data, source).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise DataError(f"{source}: malformed line {line!r}")
+        if key in raw:
+            raise DataError(f"{source}: repeated key {key!r}")
+        raw[key] = value.strip()
+    unknown = [key for key in raw if key not in schema]
+    if unknown:
+        raise DataError(f"{source}: unknown key(s): {', '.join(unknown)}")
+    out = {}
+    for key, value in raw.items():
+        cast = schema[key]
+        try:
+            out[key] = tuple(int(v) for v in value.split(",")) if cast is tuple else cast(value)
+        except ValueError:
+            raise DataError(f"{source}: bad value {key}={value!r}, "
+                            f"expected {cast.__name__}") from None
+    return out
+
+
+def format_settings(settings) -> str:
+    """The ``key=value`` lines of a config dataclass, in field order."""
     lines = []
-    for name in _CONFIG_FIELDS:
-        value = getattr(cfg, name)
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        lines.append(f"{name}={value}")
+        lines.append(f"{f.name}={value}")
     return "\n".join(lines) + "\n"
 
 
-def _config_from_text(text: str) -> ModelConfig:
-    kwargs = {}
-    for line in text.strip().splitlines():
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _CONFIG_FIELDS:
-            raise DataError(f"checkpoint config: unknown key {key!r}")
-        try:
-            if key == "filter_name":
-                kwargs[key] = raw
-            elif key == "kernel_sizes":
-                kwargs[key] = tuple(int(v) for v in raw.split(","))
-            elif key == "eps":
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = int(raw)
-        except ValueError:
-            raise DataError(f"checkpoint config: bad value {key}={raw!r}") from None
-    if "nodes" not in kwargs:
-        raise DataError("checkpoint config: no nodes entry")
-    return ModelConfig(**kwargs)
+_MODEL_SCHEMA = settings_schema(ModelConfig)
 
 
 def _zip_entry(name: str) -> zipfile.ZipInfo:
@@ -380,7 +407,7 @@ def save_checkpoint(path, cfg: ModelConfig, state: dict[str, np.ndarray],
                     extras: dict[str, np.ndarray] | None = None):
     """Single archive: config as key=value text plus raw little-endian tensors."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        zf.writestr(_zip_entry("config.txt"), _config_to_text(cfg))
+        zf.writestr(_zip_entry("config.txt"), format_settings(cfg))
         entries = dict(state)
         for name, arr in (extras or {}).items():
             entries[f"extra/{name}"] = arr
@@ -396,9 +423,10 @@ def save_checkpoint(path, cfg: ModelConfig, state: dict[str, np.ndarray],
 def load_checkpoint(path):
     """Returns (config, parameter state dict, extras dict).
 
-    A file that is not a zip archive, a missing entry, an unknown or
-    unparsable config line and a tensor whose byte length disagrees with
-    its manifest shape each raise ``DataError``.
+    A file that is not a zip archive, a missing or corrupt entry, a config
+    that :func:`parse_settings` rejects or that lacks ``nodes``, a manifest
+    shape that is not integers and a tensor whose byte length disagrees
+    with its manifest shape each raise ``DataError``.
     """
     try:
         zf = zipfile.ZipFile(path, "r")
@@ -410,13 +438,22 @@ def load_checkpoint(path):
             return zf.read(name)
         except KeyError:
             raise DataError(f"{path}: checkpoint has no entry {name!r}") from None
+        except (zipfile.BadZipFile, zlib.error) as exc:
+            raise DataError(f"{path}: {exc}") from None
 
     with zf:
-        cfg = _config_from_text(read("config.txt").decode())
+        settings = parse_settings(read("config.txt"), _MODEL_SCHEMA, "checkpoint config")
+        if "nodes" not in settings:
+            raise DataError("checkpoint config: no nodes entry")
+        cfg = ModelConfig(**settings)
         state, extras = {}, {}
-        for line in read("manifest.txt").decode().strip().splitlines():
+        for line in _text(read("manifest.txt"), f"{path}: manifest").strip().splitlines():
             name, _, shape_txt = line.partition("\t")
-            shape = tuple(int(s) for s in shape_txt.split(",") if s)
+            try:
+                shape = tuple(int(s) for s in shape_txt.split(",") if s)
+            except ValueError:
+                raise DataError(f"{path}: manifest shape {shape_txt!r} of {name!r} "
+                                f"is not integers") from None
             raw = read(f"tensors/{name}")
             if len(raw) != 8 * math.prod(shape):
                 raise DataError(f"{path}: tensor {name!r} has {len(raw)} bytes, "

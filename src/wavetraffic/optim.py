@@ -10,15 +10,17 @@ from .errors import DimensionError, TrainingError
 
 __all__ = ["AdamState", "adam_step"]
 
+# moment decay rates and denominator floor of Kingma & Ba's defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """First/second moment accumulators plus the learning rate."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -47,11 +49,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return out

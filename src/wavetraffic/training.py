@@ -5,6 +5,7 @@ checkpointing).
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -73,8 +74,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr < 0 or self.batch_size < 1 or self.huber_delta <= 0:
-            raise ParameterError("invalid training configuration")
+        # each range test is False for nan, and the upper bounds reject inf
+        ok = {"epochs": self.epochs >= 0, "lr": 0 <= self.lr < math.inf,
+              "batch_size": self.batch_size >= 1, "huber_delta": 0 < self.huber_delta < math.inf}
+        bad = [f"{name}={getattr(self, name)!r}" for name, good in ok.items() if not good]
+        if bad:
+            raise ParameterError(f"invalid training configuration: {', '.join(bad)}")
 
 
 def compute_stats(train_x) -> NormalizationStats:

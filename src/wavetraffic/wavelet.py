@@ -5,7 +5,8 @@ The transform is undecimated with circular boundary handling, so every
 coefficient series has the same length as the input and is equivariant
 under circular shifts. Synthesis is the transpose pyramid, which makes
 the detail/smooth components sum back to the input exactly (up to
-float64 rounding).
+float64 rounding). :func:`mra` returns those components as a list,
+details first and the smooth last, and :func:`imodwt` sums such a list.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ from .errors import DimensionError, ParameterError
 
 __all__ = [
     "WaveletFilter",
-    "MraDecomposition",
     "HAAR",
     "D4",
     "get_filter",
     "modwt",
     "imodwt",
     "mra",
-    "mra_batch",
     "mra_matrices",
     "equivalent_filters",
 ]
@@ -85,31 +84,6 @@ def get_filter(name) -> WaveletFilter:
         ) from None
 
 
-@dataclass
-class MraDecomposition:
-    """Additive decomposition: sum(details) + smooth equals the input."""
-
-    level: int
-    details: list[np.ndarray]
-    smooth: np.ndarray
-    filter_name: str
-    length: int
-
-    def components(self) -> list[np.ndarray]:
-        return list(self.details) + [self.smooth]
-
-    def validate(self):
-        if len(self.details) != self.level:
-            raise DimensionError(
-                f"expected {self.level} detail series, got {len(self.details)}"
-            )
-        for c in self.components():
-            if c.shape[-1] != self.length:
-                raise DimensionError(
-                    f"component length {c.shape[-1]} != declared length {self.length}"
-                )
-
-
 def _check_input(u: np.ndarray, filt: WaveletFilter, level: int):
     if level < 1:
         raise ParameterError(f"decomposition level must be >= 1, got {level}")
@@ -166,20 +140,25 @@ def modwt(u, filt="haar", level: int = 2):
     return coeffs, v
 
 
-def imodwt(dec: MraDecomposition) -> np.ndarray:
-    """Synthesis from MRA components: their pointwise sum."""
-    dec.validate()
-    out = dec.smooth.copy()
-    for d in dec.details:
+def imodwt(components) -> np.ndarray:
+    """Synthesis from the MRA components of :func:`mra`: their pointwise sum."""
+    if not components or any(np.shape(c) != np.shape(components[-1]) for c in components):
+        raise DimensionError(
+            f"MRA components must share one shape, got {[np.shape(c) for c in components]}"
+        )
+    out = components[-1].copy()
+    for d in components[:-1]:
         out = out + d
     return out
 
 
-def mra(u, filt="haar", level: int = 2) -> MraDecomposition:
-    """Multiresolution analysis: per-level details plus one smooth.
+def mra(u, filt="haar", level: int = 2) -> list[np.ndarray]:
+    """Multiresolution analysis along the last axis of ``u``.
 
-    Each detail is produced by zeroing every coefficient band except one
-    and running the transpose pyramid back to level zero.
+    Returns J+1 arrays shaped like ``u``, details d1..dJ first and the
+    smooth last, summing to ``u``. Each detail is produced by zeroing
+    every coefficient band except one and running the transpose pyramid
+    back to level zero.
     """
     filt = get_filter(filt)
     u = np.asarray(u, dtype=np.float64)
@@ -194,23 +173,7 @@ def mra(u, filt="haar", level: int = 2) -> MraDecomposition:
         return out
 
     details = [_ascend(w, j, h) for j, w in enumerate(coeffs, start=1)]
-    smooth = _ascend(v, level, g)
-    return MraDecomposition(
-        level=level,
-        details=details,
-        smooth=smooth,
-        filter_name=filt.name,
-        length=u.shape[-1],
-    )
-
-
-def mra_batch(x, filt="haar", level: int = 2) -> list[np.ndarray]:
-    """MRA of every (node, channel) series of a (..., M) tensor.
-
-    Returns J+1 arrays (details first, smooth last), each shaped like x.
-    """
-    dec = mra(np.asarray(x, dtype=np.float64), filt, level)
-    return dec.components()
+    return details + [_ascend(v, level, g)]
 
 
 def mra_matrices(filt, level: int, length: int) -> list[np.ndarray]:
@@ -221,7 +184,7 @@ def mra_matrices(filt, level: int, length: int) -> list[np.ndarray]:
     the differentiable model on short windows.
     """
     eye = np.eye(length)
-    comps = mra_batch(eye, filt, level)
+    comps = mra(eye, filt, level)
     return [c.T.copy() for c in comps]
 
 

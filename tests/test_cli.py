@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wavetraffic import conformal as cp
-from wavetraffic import data_io, wavelet
+from wavetraffic import cli, data_io, wavelet
 from wavetraffic.cli import build_parser, main
 from wavetraffic.model import load_checkpoint, save_checkpoint
 
@@ -48,7 +48,7 @@ class TestDecompose:
         total = sum(comps)
         loaded = data_io.load_csv(data_path)
         np.testing.assert_allclose(total, loaded, atol=1e-8)
-        direct = wavelet.mra_batch(loaded, "haar", 2)
+        direct = wavelet.mra(loaded, "haar", 2)
         for written, computed in zip(comps, direct):
             np.testing.assert_allclose(written, computed, atol=1e-9)
 
@@ -142,6 +142,25 @@ class TestTrainAndForecast:
         assert len(rows) == 2
         cfg, _, _ = load_checkpoint(out / "checkpoint.bin")
         assert cfg.blocks == 1 and cfg.width == 3
+
+    def test_config_file_sets_every_key(self, dataset, tmp_path):
+        settings = {
+            "blocks": 1, "width": 4, "heads": 2, "level": 1, "cheb_order": 2,
+            "channels": 2, "window": 12, "horizon": 6, "filter_name": "d4",
+            "epochs": 2, "lr": 1e-3, "batch_size": 64, "huber_delta": 0.5, "seed": 3,
+        }
+        assert sorted(cli._MODEL_KEYS.keys() | cli._TRAIN_KEYS.keys()) == sorted(settings)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        data_path, _ = dataset
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_path), "--out", str(out),
+                     "--config", str(cfg_file), "--p-sp", "0.5"]) == 0
+        cfg, _, _ = load_checkpoint(out / "checkpoint.bin")
+        for key in cli._MODEL_KEYS:
+            assert getattr(cfg, key) == settings[key]
+        with open(out / "log.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + settings["epochs"]
 
 
 @pytest.fixture(scope="module")
@@ -271,11 +290,24 @@ class TestConformalEvaluateMcb:
 
 
 class TestSweepLevel:
-    def test_sweep_two_levels(self, dataset, tmp_path):
+    def test_sweep_two_levels(self, dataset, tmp_path, monkeypatch):
+        calls = {"load_csv": 0, "build_graph_bundle": 0}
+
+        def counted(owner, name):
+            raw = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return raw(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(data_io, "load_csv")
+        counted(cli, "build_graph_bundle")
         data_path, _ = dataset
         out = tmp_path / "sweep.csv"
         assert main(["sweep-level", "--data", str(data_path), "--levels", "0", "1",
                      "--out", str(out), *_FAST_TRAIN]) == 0
+        assert calls == {"load_csv": 1, "build_graph_bundle": 1}
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["level", "mape", "mae", "rmse"]
@@ -311,28 +343,67 @@ class TestMalformedInput:
                              "--split", split, *_FAST_TRAIN], capsys,
                             f"split must be three positive numbers a:b:c, got {split!r}")
 
-    def test_config_value_of_wrong_type(self, dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        (b"epochs=abc\n", "bad value epochs='abc', expected int"),
+        (b"epoch=7\nlr=1e-3\npatience=3\n", "unknown key(s): epoch, patience"),
+        (b"epochs=2\nlr=1e-3\nepochs=3\n", "repeated key 'epochs'"),
+        (b"epochs 2\n", "malformed line 'epochs 2'"),
+        (b"lr=1e-3\n# \xff\n", "not UTF-8 text"),
+        (b"nodes=4\n", "unknown key(s): nodes"),
+        (b"kernel_sizes=3,5,7\n", "unknown key(s): kernel_sizes"),
+        (b"pool_window=2\nin_channels=1\neps=1e-08\n",
+         "unknown key(s): pool_window, in_channels, eps"),
+    ], ids=["wrong_type", "unknown_key", "repeated_key", "no_equals", "not_utf8", "nodes",
+            "kernel_sizes", "constants"])
+    def test_config_file_faults(self, dataset, tmp_path, capsys, text, message):
         data_path, _ = dataset
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("epochs=abc\n")
-        self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path),
-                             "--config", str(cfg_file)], capsys,
-                            "config value epochs='abc' is not int")
-
-    def test_config_unknown_key(self, dataset, tmp_path, capsys):
-        data_path, _ = dataset
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("epoch=7\nlr=1e-3\npatience=3\n")
+        cfg_file.write_bytes(text)
         self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path / "run"),
-                             "--config", str(cfg_file)], capsys,
-                            "unknown config key(s): epoch, patience")
+                             "--config", str(cfg_file)], capsys, f"{cfg_file}: {message}")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--lr", "nan"], None, "lr=nan"),
+        (["--lr", "inf"], None, "lr=inf"),
+        (["--huber-delta", "nan"], None, "huber_delta=nan"),
+        ([], "lr=inf\nhuber_delta=nan\n", "lr=inf, huber_delta=nan"),
+    ], ids=["lr_nan", "lr_inf", "huber_delta_nan", "config_file"])
+    def test_non_finite_training_setting(self, dataset, tmp_path, capsys, flags, config,
+                                         message):
+        data_path, _ = dataset
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path / "run"),
+                             *flags], capsys, f"invalid training configuration: {message}")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, window", [
+        ("build-graph", "-300"), ("build-graph", "0"), ("train", "1"), ("sweep-level", "0"),
+    ])
+    def test_stad_window_below_two(self, dataset, tmp_path, capsys, command, window):
+        data_path, _ = dataset
+        out = tmp_path / "out"
+        io_flags = (["--input", str(data_path), "--out-dir", str(out)]
+                    if command == "build-graph"
+                    else ["--data", str(data_path), "--out", str(out), *_FAST_TRAIN])
+        self._fails_cleanly([command, *io_flags, "--stad-window", window], capsys,
+                            f"--stad-window must be at least 2, got {window}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("fault, message", [
         ("not_zip", "not a checkpoint archive"),
-        ("unknown_config_key", "checkpoint config: unknown key 'dropout'"),
-        ("bad_config_value", "checkpoint config: bad value blocks='one'"),
+        ("unknown_config_key", "checkpoint config: unknown key(s): dropout"),
+        ("constants_in_config",
+         "checkpoint config: unknown key(s): pool_window, in_channels, eps"),
+        ("repeated_config_key", "checkpoint config: repeated key 'blocks'"),
+        ("bad_config_value", "checkpoint config: bad value blocks='one', expected int"),
+        ("config_not_utf8", "checkpoint config: not UTF-8 text"),
         ("no_nodes", "checkpoint config: no nodes entry"),
+        ("bad_manifest_shape", "manifest shape 'x1,1,2,1' of 'block0.gc.bias' is not integers"),
+        ("bad_crc", "Bad CRC-32 for file 'tensors/block0.gc.theta'"),
+        ("bad_deflate_stream", "while decompressing data"),
         ("missing_entry", "checkpoint has no entry 'tensors/block0.gc.theta'"),
         ("short_tensor", "tensor 'block0.gc.theta' has"),
         ("missing_extra", "checkpoint lacks extra/norm_mean"),
@@ -341,9 +412,16 @@ class TestMalformedInput:
                                            fault, message):
         edits = {
             "unknown_config_key": ("config.txt", lambda data: data + b"dropout=1\n"),
+            # the lines a checkpoint written before these became constants carries
+            "constants_in_config": ("config.txt", lambda data: data.replace(
+                b"channels=", b"pool_window=2\nchannels=").replace(
+                b"filter_name=", b"in_channels=1\nfilter_name=") + b"eps=1e-08\n"),
+            "repeated_config_key": ("config.txt", lambda data: data + b"blocks=2\n"),
+            "config_not_utf8": ("config.txt", lambda data: data + b"\xff\n"),
             "bad_config_value": ("config.txt",
                                  lambda data: data.replace(b"blocks=1", b"blocks=one")),
             "no_nodes": ("config.txt", lambda data: data.replace(b"nodes=4\n", b"")),
+            "bad_manifest_shape": ("manifest.txt", lambda data: data.replace(b"\t", b"\tx", 1)),
             "missing_entry": ("tensors/block0.gc.theta", lambda data: None),
             "short_tensor": ("tensors/block0.gc.theta", lambda data: data[:-8]),
             "missing_extra": ("manifest.txt", lambda data: b"\n".join(
@@ -352,6 +430,19 @@ class TestMalformedInput:
         bad = tmp_path / "bad.bin"
         if fault == "not_zip":
             bad.write_text("epoch,loss\n1,0.5\n")
+        elif fault in ("bad_crc", "bad_deflate_stream"):
+            method = zipfile.ZIP_DEFLATED if fault == "bad_deflate_stream" else zipfile.ZIP_STORED
+            with zipfile.ZipFile(trained / "checkpoint.bin") as src, \
+                    zipfile.ZipFile(bad, "w", method) as dst:
+                for info in src.infolist():
+                    dst.writestr(info.filename, src.read(info))
+            raw = bytearray(bad.read_bytes())
+            with zipfile.ZipFile(bad) as zf:
+                info = zf.getinfo("tensors/block0.gc.theta")
+            # corrupt the first data bytes after the entry's local header
+            start = info.header_offset + 30 + len(info.filename) + len(info.extra)
+            raw[start : start + 4] = bytes(b ^ 0xA5 for b in raw[start : start + 4])
+            bad.write_bytes(bytes(raw))
         else:
             target, edit = edits[fault]
             with zipfile.ZipFile(trained / "checkpoint.bin") as src, \

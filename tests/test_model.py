@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,25 @@ class TestCheckpoint:
             assert np.array_equal(state2[name], arr)
         assert np.array_equal(extras2["norm_mean"], np.arange(4.0))
         assert np.array_equal(extras2["a_stag"], toy_model.bundle.a_stag)
+
+    def test_every_field_round_trips(self, tmp_path):
+        default = ModelConfig(nodes=1)
+        # kernels {1,3,5} with pooling 2 on a 6-step window pool to {3,2,1}
+        cfg = ModelConfig(nodes=5, blocks=2, width=4, heads=2, level=3, cheb_order=2,
+                          kernel_sizes=(1, 3, 5), channels=3, window=6, horizon=5,
+                          filter_name="d4")
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+        save_checkpoint(tmp_path / "model.bin", cfg, {})
+        loaded, state, extras = load_checkpoint(tmp_path / "model.bin")
+        assert loaded == cfg and state == {} and extras == {}
+
+    def test_settable_fields(self):
+        assert [f.name for f in fields(ModelConfig)] == [
+            "nodes", "blocks", "width", "heads", "level", "cheb_order", "kernel_sizes",
+            "channels", "window", "horizon", "filter_name",
+        ]
+        with pytest.raises(TypeError):
+            ModelConfig(nodes=4, pool_window=2)
 
     def test_restored_model_predicts_identically(self, toy_setup, toy_model, tmp_path):
         cfg, bundle = toy_setup

@@ -129,8 +129,7 @@ def toy_setup_module():
     from wavetraffic.model import ModelConfig
 
     bundle = build_graph_bundle(raw, p_sp=0.5, cheb_order=3)
-    cfg = ModelConfig(nodes=n, blocks=2, width=3, heads=3, level=2,
-                      channels=2, in_channels=1)
+    cfg = ModelConfig(nodes=n, blocks=2, width=3, heads=3, level=2, channels=2)
     stats = tr.compute_stats(raw)
     windows = tr.make_windows(tr.normalize(raw, stats)[:, None, :])
     return cfg, bundle, windows

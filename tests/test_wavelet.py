@@ -103,75 +103,61 @@ class TestMra:
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                dec = wv.mra(u, filt, level)
-                rec = wv.imodwt(dec)
+                rec = wv.imodwt(wv.mra(u, filt, level))
         assert np.max(np.abs(rec - u)) < 1e-10
 
     def test_constant_input(self):
-        dec = wv.mra(np.full(16, 7.5), "haar", 2)
-        for d in dec.details:
+        *details, smooth = wv.mra(np.full(16, 7.5), "haar", 2)
+        for d in details:
             np.testing.assert_allclose(d, np.zeros(16), atol=1e-12)
-        np.testing.assert_allclose(dec.smooth, np.full(16, 7.5), atol=1e-10)
+        np.testing.assert_allclose(smooth, np.full(16, 7.5), atol=1e-10)
 
     def test_alternation_energy_in_first_detail(self):
         u = np.tile([1.0, -1.0], 32)
-        dec = wv.mra(u, "haar", 2)
-        energies = [float((c ** 2).sum()) for c in dec.components()]
+        energies = [float((c ** 2).sum()) for c in wv.mra(u, "haar", 2)]
         assert energies[0] >= 0.99 * (u ** 2).sum()
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         u, v = rng.normal(size=(2, 40))
         a, b = 2.5, -1.25
-        left = wv.mra(a * u + b * v, "d4", 2).components()
-        right = [
-            a * cu + b * cv
-            for cu, cv in zip(wv.mra(u, "d4", 2).components(),
-                              wv.mra(v, "d4", 2).components())
-        ]
+        left = wv.mra(a * u + b * v, "d4", 2)
+        right = [a * cu + b * cv for cu, cv in zip(wv.mra(u, "d4", 2), wv.mra(v, "d4", 2))]
         for lc, rc in zip(left, right):
             np.testing.assert_allclose(lc, rc, atol=1e-10)
 
     def test_scaling_components_scales_output(self):
         u = np.random.default_rng(6).normal(size=20)
-        dec = wv.mra(u, "haar", 2)
-        scaled = wv.MraDecomposition(
-            level=dec.level,
-            details=[2.0 * d for d in dec.details],
-            smooth=2.0 * dec.smooth,
-            filter_name=dec.filter_name,
-            length=dec.length,
-        )
-        np.testing.assert_allclose(wv.imodwt(scaled), 2.0 * wv.imodwt(dec), atol=1e-12)
+        comps = wv.mra(u, "haar", 2)
+        scaled = [2.0 * c for c in comps]
+        np.testing.assert_allclose(wv.imodwt(scaled), 2.0 * wv.imodwt(comps), atol=1e-12)
 
     def test_imodwt_zero_details(self):
         s = np.random.default_rng(7).normal(size=12)
-        dec = wv.MraDecomposition(2, [np.zeros(12), np.zeros(12)], s, "haar", 12)
-        np.testing.assert_array_equal(wv.imodwt(dec), s)
+        np.testing.assert_array_equal(wv.imodwt([np.zeros(12), np.zeros(12), s]), s)
 
     def test_imodwt_length_mismatch(self):
-        dec = wv.MraDecomposition(1, [np.zeros(10)], np.zeros(12), "haar", 12)
         with pytest.raises(DimensionError):
-            wv.imodwt(dec)
+            wv.imodwt([np.zeros(10), np.zeros(12)])
 
 
 class TestMraBatch:
     def test_shape_preservation(self):
         x = np.random.default_rng(8).normal(size=(5, 2, 32))
-        comps = wv.mra_batch(x, "haar", 2)
+        comps = wv.mra(x, "haar", 2)
         assert len(comps) == 3
         assert all(c.shape == x.shape for c in comps)
 
     def test_matches_per_series(self):
         x = np.random.default_rng(9).normal(size=(3, 2, 24))
-        comps = wv.mra_batch(x, "d4", 2)
-        single = wv.mra(x[1, 0], "d4", 2).components()
+        comps = wv.mra(x, "d4", 2)
+        single = wv.mra(x[1, 0], "d4", 2)
         for batched, alone in zip(comps, single):
             np.testing.assert_allclose(batched[1, 0], alone, atol=1e-12)
 
     def test_components_sum_to_input(self):
         x = np.random.default_rng(10).normal(size=(4, 1, 48))
-        total = sum(wv.mra_batch(x, "haar", 3))
+        total = sum(wv.mra(x, "haar", 3))
         np.testing.assert_allclose(total, x, atol=1e-10)
 
 
@@ -179,7 +165,7 @@ class TestMraMatrices:
     def test_linear_operator_agrees_with_mra(self):
         u = np.random.default_rng(11).normal(size=12)
         ops = wv.mra_matrices("haar", 2, 12)
-        direct = wv.mra(u, "haar", 2).components()
+        direct = wv.mra(u, "haar", 2)
         for op, comp in zip(ops, direct):
             np.testing.assert_allclose(op @ u, comp, atol=1e-12)
 
