@@ -61,12 +61,13 @@ def _resolve(args, file_cfg: dict, keys) -> dict:
     return out
 
 
-def _add_model_flags(sub):
+def _add_model_flags(sub, level=True):
     sub.add_argument("--blocks", type=int, default=None)
     sub.add_argument("--width", type=int, default=None)
     sub.add_argument("--heads", type=int, default=None)
-    sub.add_argument("--level", type=int, default=None,
-                     help="wavelet decomposition level (0 disables the transform)")
+    if level:
+        sub.add_argument("--level", type=int, default=None,
+                         help="wavelet decomposition level (0 disables the transform)")
     sub.add_argument("--cheb-order", dest="cheb_order", type=int, default=None)
     sub.add_argument("--channels", type=int, default=None)
     sub.add_argument("--filter", dest="filter_name", default=None, choices=["haar", "d4"])
@@ -117,12 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment", default="all", choices=["all", "train", "val", "test"])
     p.add_argument("--split", default="6:2:2")
 
-    p = sub.add_parser("sweep-level", help="train once per wavelet level, compare MAPE")
+    # no abbreviations: --level would otherwise be read as --levels
+    p = sub.add_parser("sweep-level", help="train once per wavelet level, compare MAPE",
+                       allow_abbrev=False)
     p.add_argument("--data", required=True)
     p.add_argument("--levels", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--out", required=True)
     _add_train_flags(p)
-    _add_model_flags(p)
+    _add_model_flags(p, level=False)
 
     p = sub.add_parser("conformal", help="interval forecasts from calibration + test forecasts")
     p.add_argument("--calibration", required=True, help="forecast CSV of the calibration split")
@@ -183,6 +186,9 @@ def _cmd_build_graph(args) -> int:
 
 def _prepare_training(args):
     file_cfg = _read_config_file(args.config) if args.config else {}
+    if "levels" in args and "level" in file_cfg:
+        raise ParameterError(f"{args.config}: sweep-level takes no level setting; "
+                             f"its levels come from --levels")
     train_cfg = training.TrainConfig(**_resolve(args, file_cfg, _TRAIN_KEYS))
     split_spec = _parse_split(args.split)
     x = data_io.load_csv(args.data)

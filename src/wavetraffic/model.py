@@ -277,7 +277,7 @@ class Model:
         branches = []
         for i, _s in enumerate(cfg.kernel_sizes):
             q = T.conv1d(z, self._p(f"{pre}.kernel{i}"), bias=self._p(f"{pre}.kbias{i}"))
-            branches.append(T.avg_pool_last(T.gated_tanh(q, c), cfg.pool_window))
+            branches.append(T.gated_tanh_pool(q, c, cfg.pool_window))
         cat = T.concat(branches, axis=-1)
         if cat.shape[-1] != cfg.window:
             raise DimensionError(

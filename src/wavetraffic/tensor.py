@@ -26,7 +26,7 @@ __all__ = [
     "softmax_last",
     "attention_logits",
     "softmax_matmul",
-    "gated_tanh",
+    "gated_tanh_pool",
     "layer_norm",
     "conv1d",
     "avg_pool_last",
@@ -114,10 +114,16 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad):
+    def _accumulate(self, grad, owned=False):
+        """Add ``grad`` to this node's gradient.
+
+        The first gradient is copied, since several parents may be handed
+        views of one array, unless ``owned`` marks a fresh array that the
+        calling closure made for this parent alone: that one is kept.
+        """
         if self.grad is None:
-            # a copy: several parents may be handed views of one array
-            self.grad = np.array(grad, dtype=np.float64)
+            owned = owned and type(grad) is np.ndarray  # a full sum can give a numpy scalar
+            self.grad = grad if owned else np.array(grad, dtype=np.float64)
         else:
             self.grad += grad
 
@@ -140,7 +146,7 @@ class Tensor:
     def __neg__(self):
         def backward(g):
             if self.requires_grad:
-                self._accumulate(-g)
+                self._accumulate(-g, owned=True)
 
         return Tensor._result(-self.data, (self,), backward)
 
@@ -156,9 +162,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
+                self._accumulate(_unbroadcast(g * other.data, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
+                other._accumulate(_unbroadcast(g * self.data, other.shape), owned=True)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -174,7 +180,7 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g * exponent * np.power(self.data, exponent - 1.0))
+                self._accumulate(g * exponent * np.power(self.data, exponent - 1.0), owned=True)
 
         return Tensor._result(data, (self,), backward)
 
@@ -185,7 +191,7 @@ class Tensor:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 full[key] = g
-                self._accumulate(full)
+                self._accumulate(full, owned=True)
 
         return Tensor._result(data, (self,), backward)
 
@@ -222,12 +228,9 @@ class Tensor:
         def backward(g):
             if not self.requires_grad:
                 return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape).copy(), owned=True)
 
         return Tensor._result(data, (self,), backward)
 
@@ -264,10 +267,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
     return Tensor._result(data, (a, b), backward)
 
@@ -286,9 +289,9 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.einsum(f"{out_sub},{sb}->{sa}", g, b.data))
+            a._accumulate(np.einsum(f"{out_sub},{sb}->{sa}", g, b.data), owned=True)
         if b.requires_grad:
-            b._accumulate(np.einsum(f"{out_sub},{sa}->{sb}", g, a.data))
+            b._accumulate(np.einsum(f"{out_sub},{sa}->{sb}", g, a.data), owned=True)
 
     return Tensor._result(data, (a, b), backward)
 
@@ -316,7 +319,7 @@ def relu(t: Tensor) -> Tensor:
 
     def backward(g):
         if t.requires_grad:
-            t._accumulate(g * mask)
+            t._accumulate(g * mask, owned=True)
 
     return Tensor._result(data, (t,), backward)
 
@@ -327,7 +330,7 @@ def tanh(t: Tensor) -> Tensor:
 
     def backward(g):
         if t.requires_grad:
-            t._accumulate(g * (1.0 - data * data))
+            t._accumulate(g * (1.0 - data * data), owned=True)
 
     return Tensor._result(data, (t,), backward)
 
@@ -338,19 +341,33 @@ def sigmoid(t: Tensor) -> Tensor:
 
     def backward(g):
         if t.requires_grad:
-            t._accumulate(g * data * (1.0 - data))
+            t._accumulate(g * data * (1.0 - data), owned=True)
 
     return Tensor._result(data, (t,), backward)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """``exp(x - max) / sum`` over the last axis, in one fresh array.
+
+    The row max is exact, so a running ``np.maximum`` over the last axis's
+    slices gives the bits of ``x.max(axis=-1)`` without its short-row
+    reduction; the shift, ``exp`` and division then run in place.
+    """
+    peak = np.array(x[..., 0])
+    for j in range(1, x.shape[-1]):
+        np.maximum(peak, x[..., j], out=peak)
+    e = x - peak[..., None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient at the input of a softmax with output ``p``, upstream ``g``."""
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+def _softmax_grad(p: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
+    """``p * (g - sum(g * p))``: the gradient at the input of a softmax with
+    output ``p`` and upstream ``g``, formed in ``out`` (which may be ``g``)."""
+    out = np.subtract(g, (g * p).sum(axis=-1, keepdims=True), out=out)
+    out *= p
+    return out
 
 
 def softmax_last(t: Tensor) -> Tensor:
@@ -360,12 +377,12 @@ def softmax_last(t: Tensor) -> Tensor:
 
     def backward(g):
         if t.requires_grad:
-            t._accumulate(_softmax_grad(data, g))
+            t._accumulate(_softmax_grad(data, g), owned=True)
 
     return Tensor._result(data, (t,), backward)
 
 
-# The three fused ops below are one graph node each. Their forward and
+# The fused ops below are one graph node each. Their forward and
 # backward repeat the arithmetic of the composed ops they replace, array
 # for array, so values and gradients are the same bits; the graph just
 # keeps no intermediate node (and no gradient array for one).
@@ -375,23 +392,25 @@ def attention_logits(q: Tensor, k: Tensor, bias: Tensor, scale: float) -> Tensor
     """``q @ kᵀ * scale + bias``: attention logits in one node.
 
     ``q`` (..., R, d) and ``k`` (..., S, d) give (..., R, S) logits;
-    ``bias`` broadcasts against them.
+    ``bias`` broadcasts to their shape.
     """
     q, k, bias = _as_tensor(q), _as_tensor(k), _as_tensor(bias)
     if q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"attention_logits: feature extents of {q.shape} and {k.shape} differ")
     k_t = np.swapaxes(k.data, -1, -2)
-    data = np.matmul(q.data, k_t) * scale + bias.data
+    data = np.matmul(q.data, k_t)
+    data *= scale
+    data += bias.data
 
     def backward(g):
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         gs = g * scale
         if q.requires_grad:
-            q._accumulate(_unbroadcast(np.matmul(gs, k.data), q.shape))
+            q._accumulate(_unbroadcast(np.matmul(gs, k.data), q.shape), owned=True)
         if k.requires_grad:
             gk_t = _unbroadcast(np.matmul(np.swapaxes(q.data, -1, -2), gs), k_t.shape)
-            k._accumulate(np.swapaxes(gk_t, -1, -2))
+            k._accumulate(np.swapaxes(gk_t, -1, -2), owned=True)
 
     return Tensor._result(data, (q, k, bias), backward)
 
@@ -404,29 +423,52 @@ def softmax_matmul(logits: Tensor, v: Tensor) -> Tensor:
 
     def backward(g):
         if v.requires_grad:
-            v._accumulate(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.shape))
+            v._accumulate(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.shape), owned=True)
         if logits.requires_grad:
-            logits._accumulate(_softmax_grad(p, np.matmul(g, np.swapaxes(v.data, -1, -2))))
+            dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            logits._accumulate(_softmax_grad(p, dp, out=dp), owned=True)
 
     return Tensor._result(data, (logits, v), backward)
 
 
-def gated_tanh(q: Tensor, c: int) -> Tensor:
-    """``tanh(q[..., :c, :]) * sigmoid(q[..., c:, :])`` in one node.
+def gated_tanh_pool(q: Tensor, c: int, window: int) -> Tensor:
+    """``avg_pool_last(tanh(q[..., :c, :]) * sigmoid(q[..., c:, :]), window)`` in one node.
 
-    The backward writes both halves of the input gradient into one array.
+    The window mean is a sum of strided slices, added in the order of
+    ``mean``'s reduction for windows below 8, then divided by ``window``.
+    The gate's arrays are C-ordered whatever the layout of ``q``, so they
+    line up with the pooled gradient; the backward writes both halves of
+    the input gradient into one array laid out like ``q``.
     """
     q = _as_tensor(q)
-    th = np.tanh(q.data[..., :c, :])
-    sg = 1.0 / (1.0 + np.exp(-q.data[..., c:, :]))
-    data = th * sg
+    if window < 1:
+        raise ParameterError(f"gated_tanh_pool: window must be >= 1, got {window}")
+    n = q.shape[-1] // window * window
+    th = np.tanh(q.data[..., :c, :], order="C")
+    sg = np.negative(q.data[..., c:, :], order="C")
+    np.exp(sg, out=sg)
+    sg += 1.0
+    np.divide(1.0, sg, out=sg)
+    gated = th * sg
+    data = gated[..., 0:n:window].copy()
+    for j in range(1, window):
+        data += gated[..., j:n:window]
+    data /= window
 
     def backward(g):
-        if q.requires_grad:
-            gq = np.empty_like(q.data)
-            gq[..., :c, :] = g * sg * (1.0 - th * th)
-            gq[..., c:, :] = g * th * sg * (1.0 - sg)
-            q._accumulate(gq)
+        if not q.requires_grad:
+            return
+        gg = np.zeros_like(th)  # the gate's gradient: g / window over each window, 0 after
+        gg[..., :n] = np.repeat(g / window, window, axis=-1)
+        gq = np.empty_like(q.data)
+        gt = gg * sg
+        gt *= 1.0 - th * th
+        gq[..., :c, :] = gt
+        gg *= th
+        gg *= sg
+        gg *= 1.0 - sg
+        gq[..., c:, :] = gg
+        q._accumulate(gq, owned=True)
 
     return Tensor._result(data, (q,), backward)
 
@@ -445,15 +487,17 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     centered = t.data - t.data.sum(axis=-1, keepdims=True) * scale
     inv = np.power((centered * centered).sum(axis=-1, keepdims=True) * scale + eps, -0.5)
     normed = centered * inv
-    data = normed * gain.data + bias.data
+    data = normed * gain.data
+    data += bias.data  # bias broadcasts to the shape of normed * gain
 
     def backward(g):
         if t.requires_grad:
             gn = _unbroadcast(g * gain.data, t.shape)
             dot = (gn * normed).sum(axis=-1, keepdims=True) * scale
-            t._accumulate(inv * (gn - gn.sum(axis=-1, keepdims=True) * scale - normed * dot))
+            t._accumulate(inv * (gn - gn.sum(axis=-1, keepdims=True) * scale - normed * dot),
+                          owned=True)
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+            gain._accumulate(_unbroadcast(g * normed, gain.shape), owned=True)
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
 
@@ -499,15 +543,15 @@ def conv1d(t: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         # the column matrix is rebuilt here rather than kept alive with the graph
         g_rows = np.swapaxes(g, -1, -2).reshape(-1, c_out)
         if kernel.requires_grad:
-            kernel._accumulate((g_rows.T @ columns()).reshape(kernel.shape))
+            kernel._accumulate((g_rows.T @ columns()).reshape(kernel.shape), owned=True)
         if t.requires_grad:
             g_cols = (g_rows @ w).reshape(lead + (t_out, c_in, s))
             gx = np.zeros_like(t.data)
             for l in range(s):  # col2im: tap l read input steps l .. l + T_out - 1
                 gx[..., l : l + t_out] += np.swapaxes(g_cols[..., l], -1, -2)
-            t._accumulate(gx)
+            t._accumulate(gx, owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g_rows.sum(axis=0))
+            bias._accumulate(g_rows.sum(axis=0), owned=True)
 
     parents = (t, kernel) if bias is None else (t, kernel, bias)
     return Tensor._result(data, parents, backward)
@@ -528,7 +572,7 @@ def avg_pool_last(t: Tensor, window: int) -> Tensor:
             gx = np.zeros_like(t.data)
             expanded = np.repeat(g[..., None], window, axis=-1) / window
             gx[..., : t_out * window] = expanded.reshape(t.shape[:-1] + (t_out * window,))
-            t._accumulate(gx)
+            t._accumulate(gx, owned=True)
 
     return Tensor._result(data, (t,), backward)
 
@@ -550,7 +594,7 @@ def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
 
     def backward(g):
         if pred.requires_grad:
-            pred._accumulate(g * np.clip(err, -delta, delta) / n)
+            pred._accumulate(g * np.clip(err, -delta, delta) / n, owned=True)
 
     return Tensor._result(data, (pred,), backward)
 

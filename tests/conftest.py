@@ -72,10 +72,14 @@ def composed_gated_tanh(q, c):
     return T.tanh(q[..., :c, :]) * T.sigmoid(q[..., c:, :])
 
 
+def composed_gated_tanh_pool(q, c, window):
+    return T.avg_pool_last(composed_gated_tanh(q, c), window)
+
+
 COMPOSED_OPS = {
     "attention_logits": composed_attention_logits,
     "softmax_matmul": composed_softmax_matmul,
-    "gated_tanh": composed_gated_tanh,
+    "gated_tanh_pool": composed_gated_tanh_pool,
 }
 
 

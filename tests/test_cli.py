@@ -21,11 +21,13 @@ def dataset(tmp_path_factory):
     return path, x
 
 
-_FAST_TRAIN = [
+# sweep-level sets the level from --levels; train also takes --level
+_FAST_SWEEP = [
     "--epochs", "1", "--batch-size", "64", "--lr", "1e-3",
-    "--blocks", "1", "--width", "3", "--channels", "2", "--level", "1",
+    "--blocks", "1", "--width", "3", "--channels", "2",
     "--p-sp", "0.5", "--seed", "0",
 ]
+_FAST_TRAIN = _FAST_SWEEP + ["--level", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +308,7 @@ class TestSweepLevel:
         data_path, _ = dataset
         out = tmp_path / "sweep.csv"
         assert main(["sweep-level", "--data", str(data_path), "--levels", "0", "1",
-                     "--out", str(out), *_FAST_TRAIN]) == 0
+                     "--out", str(out), *_FAST_SWEEP]) == 0
         assert calls == {"load_csv": 1, "build_graph_bundle": 1}
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -314,6 +316,28 @@ class TestSweepLevel:
         assert [r[0] for r in rows[1:]] == ["0", "1"]
         for row in rows[1:]:
             assert all(np.isfinite(float(v)) for v in row[1:])
+
+    @pytest.mark.parametrize("flags", [["--levels", "1", "--level", "7"], ["--level", "7"]])
+    def test_level_flag_is_a_usage_error(self, dataset, tmp_path, capsys, flags):
+        # not taken as an abbreviation of --levels either
+        data_path, _ = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-level", "--data", str(data_path), *flags,
+                  "--out", str(tmp_path / "sweep.csv"), *_FAST_SWEEP])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --level 7" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_level_in_config_file_is_an_error(self, dataset, tmp_path, capsys):
+        data_path, _ = dataset
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("epochs=1\nlevel=7\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-level", "--data", str(data_path), "--levels", "1",
+                     "--config", str(cfg_file), "--out", str(out), *_FAST_SWEEP]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "level" in err and "--levels" in err
+        assert not out.exists()
 
 
 class TestUsageErrors:
@@ -385,9 +409,10 @@ class TestMalformedInput:
     def test_stad_window_below_two(self, dataset, tmp_path, capsys, command, window):
         data_path, _ = dataset
         out = tmp_path / "out"
+        fast = _FAST_SWEEP if command == "sweep-level" else _FAST_TRAIN
         io_flags = (["--input", str(data_path), "--out-dir", str(out)]
                     if command == "build-graph"
-                    else ["--data", str(data_path), "--out", str(out), *_FAST_TRAIN])
+                    else ["--data", str(data_path), "--out", str(out), *fast])
         self._fails_cleanly([command, *io_flags, "--stad-window", window], capsys,
                             f"--stad-window must be at least 2, got {window}")
         assert not out.exists()

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    assert_grads_close, composed_attention_logits, composed_gated_tanh, composed_softmax_matmul,
-    finite_difference, gradcheck_op,
+    assert_grads_close, composed_attention_logits, composed_gated_tanh_pool,
+    composed_softmax_matmul, finite_difference, gradcheck_op,
 )
 from wavetraffic import tensor as T
 from wavetraffic.errors import DimensionError, ParameterError
@@ -179,11 +179,29 @@ class TestFusedOpsMatchComposedOps:
         _assert_bit_equal(chain(T.attention_logits, T.softmax_matmul),
                           chain(composed_attention_logits, composed_softmax_matmul), arrays)
 
-    @pytest.mark.parametrize("shape, c", [((3, 4, 10, 7), 5), ((2, 2, 2, 3), 1)])
-    def test_gated_tanh(self, shape, c):
-        arrays = [np.random.default_rng(45).normal(size=shape)]
-        _assert_bit_equal(lambda q: T.gated_tanh(q, c),
-                          lambda q: composed_gated_tanh(q, c), arrays)
+    @pytest.mark.parametrize("q_shape, c, window, layout", [
+        ((3, 4, 8, 10), 4, 2, "conv1d"),  # a gated branch as conv1d lays it out
+        ((3, 4, 8, 9), 4, 2, "conv1d"),  # a dropped remainder
+        ((2, 3, 2, 6), 1, 2, "C"),  # c=1
+        ((3, 2, 6, 7), 3, 3, "C"),  # window 3 with a dropped remainder
+        ((2, 2, 4, 9), 2, 3, "conv1d"),
+        ((2, 6, 5), 3, 1, "C"),  # window 1, no leading batch axis
+    ])
+    def test_gated_tanh_pool(self, q_shape, c, window, layout):
+        q = np.random.default_rng(45).normal(size=q_shape)
+        if layout == "conv1d":  # conv1d returns its (rows, C_out) product with axes swapped
+            q = np.swapaxes(np.ascontiguousarray(np.swapaxes(q, -1, -2)), -1, -2)
+        _assert_bit_equal(lambda t: T.gated_tanh_pool(t, c, window),
+                          lambda t: composed_gated_tanh_pool(t, c, window), [q])
+
+    def test_gated_tanh_pool_gradient_keeps_the_input_layout(self):
+        q = Tensor(np.swapaxes(_rand((2, 3, 10, 8), 46), -1, -2), requires_grad=True)
+        Graph().backward(T.gated_tanh_pool(q, 4, 2).sum())
+        assert q.grad.strides == q.data.strides
+
+    def test_gated_tanh_pool_rejects_empty_window(self):
+        with pytest.raises(ParameterError):
+            T.gated_tanh_pool(Tensor(np.ones((4, 6))), 2, 0)
 
     def test_attention_logits_rejects_feature_mismatch(self):
         with pytest.raises(DimensionError):
@@ -205,10 +223,12 @@ class TestFusedOpGradients:
         w = _rand((2, 3, 4), 56)
         gradcheck_op(lambda: (T.softmax_matmul(logits, v) * w).sum(), [logits, v])
 
-    def test_gated_tanh(self):
-        q = Tensor(_rand((2, 3, 4, 5), 57), requires_grad=True)
-        w = _rand((2, 3, 2, 5), 58)
-        gradcheck_op(lambda: (T.gated_tanh(q, 2) * w).sum(), [q])
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_gated_tanh_pool(self, window):
+        # length 7 leaves a remainder for both windows
+        q = Tensor(_rand((2, 3, 4, 7), 57), requires_grad=True)
+        w = _rand((2, 3, 2, 7 // window), 58)
+        gradcheck_op(lambda: (T.gated_tanh_pool(q, 2, window) * w).sum(), [q])
 
 
 class TestConv1d:
@@ -343,6 +363,166 @@ class TestFirstAccumulation:
         grads = g.backward(terms[0] + terms[1])
         np.testing.assert_array_equal(grads["a"], w + c)
         np.testing.assert_array_equal(grads["b"], w)
+
+
+class TestGradientHandover:
+    """Closures hand fresh gradients to a single parent without a copy; any
+    gradient that reaches several parents must still not alias."""
+
+    def test_owned_first_gradient_is_kept(self):
+        t = Tensor(np.zeros(3), requires_grad=True)
+        fresh = np.ones(3)
+        t._accumulate(fresh, owned=True)
+        assert t.grad is fresh
+        t._accumulate(fresh, owned=True)
+        np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
+
+    def test_owned_numpy_scalar_becomes_an_array(self):
+        t = Tensor(0.0, requires_grad=True)
+        t._accumulate(np.float64(2.0), owned=True)
+        assert isinstance(t.grad, np.ndarray) and t.grad.shape == ()
+
+    @pytest.mark.parametrize("case", ["add_self", "matmul_self_transpose", "concat_slices",
+                                      "reshape_transpose", "parameter_twice"])
+    def test_matches_finite_differences(self, case):
+        a = Tensor(_rand((3, 4), 60), requires_grad=True)
+        b = Tensor(_rand((4, 3), 61), requires_grad=True)
+        losses = {
+            "add_self": lambda: ((a + a) * _rand((3, 4), 62)).sum(),
+            "matmul_self_transpose": lambda: (T.matmul(a, a.transpose((1, 0)))
+                                              * _rand((3, 3), 63)).sum(),
+            "concat_slices": lambda: (T.concat([a[:, 1:], a[:, :3], a], axis=1)
+                                      * _rand((3, 10), 64)).sum(),
+            "reshape_transpose": lambda: (a.reshape(2, 6).transpose((1, 0)).reshape(3, 4)
+                                          .transpose((1, 0)) * b * _rand((4, 3), 65)).sum(),
+            "parameter_twice": lambda: (T.tanh(T.matmul(a, b)) * _rand((3, 3), 66)).sum()
+                                       + T.layer_norm(b, Tensor(1.0), Tensor(0.0)).sum()
+                                       + (b * b).sum(),
+        }
+        gradcheck_op(losses[case], [a, b])
+
+    @staticmethod
+    def _shared_graph_grads():
+        g = Graph()
+        a = g.parameter("a", _rand((3, 4), 67))
+        b = g.parameter("b", _rand((3, 4), 68))
+        c = g.parameter("c", _rand((4, 4), 69))
+        d = g.parameter("d", _rand((4,), 70))
+        e = g.parameter("e", _rand((4,), 73))
+        f = g.parameter("f", _rand((4,), 75))
+        s = a + b  # both parents see one gradient array
+        cat = T.concat([s, a, b.reshape(4, 3).transpose((1, 0))], axis=0)
+        out = T.matmul(cat, c) + d
+        loss = (T.layer_norm(out, d, d) * _rand((9, 4), 71)).sum() + (a * b).sum()
+        # reached only through this sum: e's and f's gradients start as views of one array
+        return g, g.backward(loss + ((e + f) * _rand((4,), 74)).sum())
+
+    def test_rebuilt_graph_gives_equal_gradients(self):
+        g, first = self._shared_graph_grads()
+        first = {name: grad.copy() for name, grad in first.items()}
+        g.zero_grad()
+        _, second = self._shared_graph_grads()
+        for name, grad in first.items():
+            assert np.array_equal(grad, second[name]), name
+
+    def test_no_two_parameter_gradients_share_memory(self):
+        g, grads = self._shared_graph_grads()
+        names = sorted(grads)
+        for i, x in enumerate(names):
+            assert grads[x] is g.parameters[x].grad
+            for y in names[i + 1:]:
+                assert not np.shares_memory(grads[x], grads[y]), (x, y)
+
+    def test_model_parameter_gradients_share_no_memory(self, toy_model):
+        x = np.random.default_rng(72).normal(size=(2, 4, 1, 12))
+        out = toy_model.forward(x)
+        grads = toy_model.graph.backward((out * out).sum())
+        arrays = list(grads.values())
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+
+def _same_bits(got, ref):
+    """Equal shapes, equal layouts and equal bit patterns (NaNs included)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    layout = [(n, s) for n, s in zip(got.shape, got.strides) if n > 1]
+    assert layout == [(n, s) for n, s in zip(ref.shape, ref.strides) if n > 1]
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(ref).view(np.uint64))
+
+
+def _special_rows(length=5, seed=80):
+    """Random rows, then rows of ties, infinities, NaNs, signed zeros and constants."""
+    inf, nan = np.inf, np.nan
+    rows = np.random.default_rng(seed).normal(size=(6, length)) * 30.0
+    specials = [[1.0, 3.0, 3.0, -2.0, 3.0], [inf, 0.0, 1.0, -1.0, 2.0],
+                [-inf, 0.0, 1.0, -1.0, 2.0], [inf, inf, 1.0, -inf, 0.0],
+                [-inf] * 5, [nan, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, nan, -inf, inf],
+                [0.0, -0.0, -0.0, 0.0, -0.0], [-0.0] * 5, [7.5] * 5, [-1e300] * 5,
+                [1e308, -1e308, 1e308, 0.0, 1.0]]
+    return np.concatenate([rows, np.array(specials)[:, :length]])
+
+
+class TestInPlaceKernelsMatchFrozenFormulas:
+    """The in-place kernels against the literal expressions they replaced.
+
+    The composed reference ops call the same ``_softmax``, so only these
+    frozen formulas can see a change in it.
+    """
+
+    @staticmethod
+    def _softmax_ref(x):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("layout", ["C", "transposed", "strided"])
+    def test_softmax(self, layout):
+        x = _special_rows()
+        if layout == "transposed":
+            x = np.ascontiguousarray(x.T).T
+        elif layout == "strided":
+            x = np.repeat(x, 2, axis=-1)[:, ::2]
+        with np.errstate(invalid="ignore", over="ignore"):
+            _same_bits(T._softmax(x), self._softmax_ref(x))
+            _same_bits(T._softmax(x.reshape(3, 6, 5)), self._softmax_ref(x.reshape(3, 6, 5)))
+            _same_bits(T._softmax(x[:, :1]), self._softmax_ref(x[:, :1]))
+
+    def test_softmax_gradient(self):
+        x = _special_rows(seed=81)
+        with np.errstate(invalid="ignore", over="ignore"):
+            p = self._softmax_ref(x)
+            for g in (_special_rows(seed=82), _special_rows(seed=83)[::-1]):
+                ref = p * (g - (g * p).sum(axis=-1, keepdims=True))
+                _same_bits(T._softmax_grad(p, g), ref)
+                g_in = g.copy()
+                out = T._softmax_grad(p, g_in, out=g_in)
+                assert out is g_in
+                _same_bits(out, ref)
+
+    def test_attention_logits_data(self):
+        q = _special_rows(seed=84).reshape(2, 9, 5)
+        k = _special_rows(seed=85)[::-1].reshape(2, 9, 5)
+        bias = np.resize(_special_rows(seed=86), (9, 9))
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref = np.matmul(q, np.swapaxes(k, -1, -2)) * 0.25 + bias
+            got = T.attention_logits(Tensor(q), Tensor(k), Tensor(bias), 0.25).data
+        _same_bits(got, ref)
+
+    @pytest.mark.parametrize("affine_shape", [(5,), (3, 1, 5), ()])
+    def test_layer_norm_data(self, affine_shape):
+        t = _special_rows(seed=87).reshape(3, 6, 5)
+        gain = np.resize(_special_rows(seed=88)[::-1], affine_shape)
+        bias = np.resize(_special_rows(seed=89), affine_shape)
+        eps = 1e-8
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = 1.0 / t.shape[-1]
+            centered = t - t.sum(axis=-1, keepdims=True) * scale
+            inv = np.power((centered * centered).sum(axis=-1, keepdims=True) * scale + eps, -0.5)
+            ref = centered * inv * gain + bias
+            got = T.layer_norm(Tensor(t), Tensor(gain), Tensor(bias), eps).data
+        _same_bits(got, ref)
 
 
 class TestEverythingElseGradients:
