@@ -1,8 +1,10 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 runtime/data error, 2 usage error. Every
-subcommand is deterministic for fixed inputs, flags, and seeds.A ``--config`` file sets the fields of ``ModelConfig`` and ``TrainConfig``
-that flags set, plus ``window`` and ``horizon``; flags win.
+subcommand is deterministic for fixed inputs, flags, and seeds.
+
+A ``--config`` file sets the fields of ``ModelConfig`` and ``TrainConfig``
+that flags set, plus ``horizon``; flags win.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ def _parse_split(text: str) -> training.SplitSpec:
     return training.SplitSpec(*(p / total for p in parts))
 
 
-# nodes comes from the data; kernel_sizes is fixed by the architecture
-_MODEL_KEYS = {key: cast for key, cast in settings_schema(ModelConfig).items()
-               if key not in ("nodes", "kernel_sizes")}
+# nodes comes from the data
+_MODEL_KEYS = {key: cast for key, cast in settings_schema(ModelConfig).items() if key != "nodes"}
 _TRAIN_KEYS = settings_schema(training.TrainConfig)
 
 
@@ -197,10 +198,8 @@ def _prepare_training(args):
     bundle_input = _stad_input(train_seg, args.stad_window)
     cfg = ModelConfig(nodes=len(x), **_resolve(args, file_cfg, _MODEL_KEYS))
     bundle = build_graph_bundle(bundle_input, p_sp=args.p_sp, cheb_order=cfg.cheb_order)
-    spec = training.WindowSpec(cfg.window, cfg.horizon)
-    tr = training.make_windows(training.normalize(train_seg, stats), spec)
-    va = training.make_windows(training.normalize(val_seg, stats), spec)
-    te = training.make_windows(training.normalize(test_seg, stats), spec)
+    tr, va, te = (training.make_windows(training.normalize(seg, stats), cfg.horizon)
+                  for seg in (train_seg, val_seg, test_seg))
     return cfg, bundle, stats, train_cfg, (tr, va, te)
 
 
@@ -257,8 +256,7 @@ def _cmd_forecast(args) -> int:
         segs = dict(zip(("train", "val", "test"), training.split(x, _parse_split(args.split))))
         x = segs[args.segment]
     cfg = model.cfg
-    spec = training.WindowSpec(cfg.window, cfg.horizon)
-    windows = training.make_windows(training.normalize(x, stats), spec)
+    windows = training.make_windows(training.normalize(x, stats), cfg.horizon)
     y, pred = training.predict_windows(model, windows, stats)
     data_io.save_forecasts(args.out, y, pred)
     print(f"wrote {len(y)} x {cfg.nodes} x {cfg.horizon} forecasts to {args.out}")

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DataError, DimensionError, ParameterError
 
 __all__ = [
-    "conformal_score",
     "weighted_quantile",
     "interval",
     "empirical_coverage",
@@ -24,12 +23,6 @@ __all__ = [
 ]
 
 _XI_FLOOR = 1e-8
-
-
-def conformal_score(y, pred, xi):
-    """W = |y - pred| / xi, elementwise; xi is floored at 1e-8."""
-    xi = np.maximum(np.asarray(xi, dtype=np.float64), _XI_FLOOR)
-    return np.abs(np.asarray(y, dtype=np.float64) - np.asarray(pred, dtype=np.float64)) / xi
 
 
 def weighted_quantile(scores, beta: float):

@@ -236,10 +236,9 @@ def load_forecasts(path):
     """Read :func:`save_forecasts` output back into dense arrays.
 
     Returns (y, pred, intervals_or_None) with shapes (T, N, steps). The
-    header must be the first 5, 7 or 8 of ``t,node,step,y,pred,lo,hi,covered``
-    (7 is the band layout before ``covered`` was added). Every
-    (t, node, step) cell of that grid must appear in exactly one row. A
-    ``covered`` column is read and ignored.
+    header must be ``t,node,step,y,pred,lo,hi,covered`` or its first 5
+    columns. Every (t, node, step) cell of that grid must appear in exactly
+    one row. The ``covered`` column is read and ignored.
     """
     path = Path(path)
     if not path.exists():
@@ -247,9 +246,9 @@ def load_forecasts(path):
     with open(path, newline="") as fh:
         line = fh.readline().strip()
         names = line.split(",")
-        if len(names) not in (5, 7, 8) or names != _FORECAST_COLUMNS[: len(names)]:
+        if names not in (_FORECAST_COLUMNS[:5], _FORECAST_COLUMNS):
             raise DataError(f"{path}: header {line!r} is not "
-                            f"{','.join(_FORECAST_COLUMNS)} or its first 5 or 7 columns")
+                            f"{','.join(_FORECAST_COLUMNS)} or its first 5 columns")
         has_intervals = len(names) > 5
         start = fh.tell()
         if not fh.readline():

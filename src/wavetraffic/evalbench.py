@@ -62,13 +62,17 @@ def mape(y, y_hat) -> float:
 _METRICS = {"mae": mae, "mape": mape, "rmse": rmse}
 
 
-def stepwise_errors(y, y_hat, metric="mae") -> np.ndarray:
-    """One metric value per horizon step (last axis) of aligned arrays."""
+def stepwise_errors(y, y_hat, metric: str = "mae") -> np.ndarray:
+    """One ``mae``, ``mape`` or ``rmse`` value per horizon step (last axis)
+    of aligned arrays."""
+    if metric not in _METRICS:
+        raise ParameterError(f"stepwise_errors: unknown metric {metric!r}; "
+                             f"expected one of {', '.join(_METRICS)}")
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise DimensionError(f"stepwise_errors: shapes {y.shape} vs {y_hat.shape}")
-    fn = _METRICS[metric] if isinstance(metric, str) else metric
+    fn = _METRICS[metric]
     return np.array([fn(y[..., s], y_hat[..., s]) for s in range(y.shape[-1])])
 
 
@@ -96,14 +100,10 @@ _TUKEY_TABLE = {
 
 def tukey_critical_value(n_models: int, gamma: float = 0.05) -> float:
     key = round(gamma, 10)
-    if key not in _TUKEY_TABLE:
+    if key not in _TUKEY_TABLE or not 2 <= n_models <= 20:
         raise ParameterError(
-            f"no built-in critical value for gamma={gamma}; available: "
-            f"{sorted(_TUKEY_TABLE)} (supply xi explicitly otherwise)"
-        )
-    if not 2 <= n_models <= 20:
-        raise ParameterError(
-            f"built-in table covers 2..20 models, got {n_models}; supply xi explicitly"
+            f"no critical value for gamma={gamma} with {n_models} models; the table "
+            f"covers gamma in {{{', '.join(map(str, _TUKEY_TABLE))}}} and 2-20 models"
         )
     return _TUKEY_TABLE[key][n_models - 2]
 
@@ -156,19 +156,18 @@ def _rank_column(col: np.ndarray, ties: str) -> np.ndarray:
     return ranks
 
 
-def mcb(table: ErrorTable, gamma: float = 0.05, ties: str = "max",
-        xi: float | None = None) -> McbResult:
+def mcb(table: ErrorTable, gamma: float = 0.05, ties: str = "max") -> McbResult:
     """Rank models per dataset, compare mean ranks against the best.
 
-    critical distance = xi * sqrt(M (M+1) / (6 D)); a model is flagged
+    critical distance = xi * sqrt(M (M+1) / (6 D)) with xi from
+    :func:`tukey_critical_value`; a model is flagged
     significantly worse when its interval lies entirely above the best
     model's interval.
     """
     n_models, n_datasets = table.values.shape
     if n_models < 2 or n_datasets < 1:
         raise ParameterError("mcb needs at least 2 models and 1 dataset")
-    if xi is None:
-        xi = tukey_critical_value(n_models, gamma)
+    xi = tukey_critical_value(n_models, gamma)
     ranks = np.column_stack(
         [_rank_column(table.values[:, d], ties) for d in range(n_datasets)]
     )

@@ -7,7 +7,9 @@ convolution, and a three-branch gated temporal convolution. A final
 prediction layer maps the per-node channel/time stack to the forecast
 horizon. Everything is built on the reverse-mode engine in
 :mod:`wavetraffic.tensor`, so one backward pass yields gradients for
-every registered weight.A checkpoint's config and the CLI's ``--config`` files are ``key=value``
+every registered weight.
+
+A checkpoint's config and the CLI's ``--config`` files are ``key=value``
 lines typed by the config dataclass fields (:func:`parse_settings`).
 """
 
@@ -40,19 +42,20 @@ class ModelConfig:
     heads: int = 3
     level: int = 2  # wavelet decomposition level; 0 disables the transform
     cheb_order: int = 3
-    kernel_sizes: tuple = (3, 5, 7)
     channels: int = 32
-    window: int = 12
     horizon: int = 12
     filter_name: str = "haar"
 
+    # the gated branches' pooled lengths (12-s+1)/2 = 5, 4, 3 sum back to the window
+    window: typing.ClassVar[int] = 12
+    kernel_sizes: typing.ClassVar[tuple] = (3, 5, 7)
     pool_window: typing.ClassVar[int] = 2  # gated-branch average pooling
     in_channels: typing.ClassVar[int] = 1  # one volume series per sensor
     eps: typing.ClassVar[float] = 1e-8  # layer-norm variance floor
 
     def __post_init__(self):
         for name in ("nodes", "blocks", "width", "heads", "cheb_order",
-                     "channels", "window", "horizon"):
+                     "channels", "horizon"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"ModelConfig.{name} must be positive")
         if self.level < 0:
@@ -60,22 +63,6 @@ class ModelConfig:
         if self.width % self.heads != 0:
             raise ParameterError(
                 f"width {self.width} not divisible by head count {self.heads}"
-            )
-        m, w = self.window, self.pool_window
-        total = 0
-        for s in self.kernel_sizes:
-            if s > m:
-                raise DimensionError(f"kernel size {s} exceeds window {m}")
-            branch = m - s + 1
-            if branch % w != 0:
-                raise DimensionError(
-                    f"branch length {branch} (kernel {s}) not divisible by pool window {w}"
-                )
-            total += branch // w
-        if total != m:
-            raise DimensionError(
-                f"pooled branch lengths sum to {total}, expected window {m}: "
-                f"kernels {self.kernel_sizes}, pool {w}, window {m}"
             )
 
     @property
@@ -182,15 +169,13 @@ class Model:
     # -- block pieces ------------------------------------------------------
 
     def wavelet_temporal_attention(self, x: Tensor, a_prev: Tensor, block: int,
-                                   identity_f: bool = False, collect: list | None = None):
+                                   collect: list | None = None):
         """Decompose the window, attend per band and head, recombine by summation.
 
         ``x`` is (B, N, c, M). ``a_prev`` holds the residual time x time
         logits: an (M, M) zero bias at the first block, then the
         channel-averaged (J, H, B, 1, M, M) logits of the block before.
         Returns (y of the same shape as ``x``, updated logits).
-        ``identity_f`` is a test hook that skips the attention so the
-        transform round-trip can be checked alone.
         """
         cfg = self.cfg
         b_sz, n, c, m = x.shape
@@ -202,8 +187,6 @@ class Model:
                 f"expected ({m}, {m}) or {carried}"
             )
         d_r = T.matmul(self._mra_ops, x.transpose((0, 2, 3, 1)))  # (J, B, c, M, N)
-        if identity_f:
-            return d_r.sum(axis=0).transpose((0, 3, 1, 2)), a_prev
         pre = f"block{block}.wta"
         rows = d_r.reshape(bands, 1, b_sz * c * m, n)
 
@@ -275,15 +258,10 @@ class Model:
         pre = f"block{block}.gtu"
         c = cfg.channels
         branches = []
-        for i, _s in enumerate(cfg.kernel_sizes):
+        for i in range(len(cfg.kernel_sizes)):
             q = T.conv1d(z, self._p(f"{pre}.kernel{i}"), bias=self._p(f"{pre}.kbias{i}"))
             branches.append(T.gated_tanh_pool(q, c, cfg.pool_window))
-        cat = T.concat(branches, axis=-1)
-        if cat.shape[-1] != cfg.window:
-            raise DimensionError(
-                f"concatenated branch length {cat.shape[-1]} != window {cfg.window}"
-            )
-        z_out = T.relu(cat + z)
+        z_out = T.relu(T.concat(branches, axis=-1) + z)
         if x_in.shape[2] != c:
             x_in = T.einsum("bncm,cd->bndm", x_in, self._p(f"{pre}.res_proj"))
         out = T.relu(x_in + z_out)
@@ -354,9 +332,8 @@ def parse_settings(data: bytes, schema: dict[str, type], source) -> dict:
     """Typed values of the ``key=value`` lines of ``data``.
 
     Blank lines and ``#`` comments are skipped. Each value is cast by its
-    ``schema`` type, a ``tuple`` being comma-separated ints. A line without
-    ``=``, an unknown or repeated key and a value that does not cast raise
-    ``DataError`` prefixed by ``source``.
+    ``schema`` type. A line without ``=``, an unknown or repeated key and a
+    value that does not cast raise ``DataError`` prefixed by ``source``.
     """
     raw = {}
     for line in _text(data, source).splitlines():
@@ -377,7 +354,7 @@ def parse_settings(data: bytes, schema: dict[str, type], source) -> dict:
     for key, value in raw.items():
         cast = schema[key]
         try:
-            out[key] = tuple(int(v) for v in value.split(",")) if cast is tuple else cast(value)
+            out[key] = cast(value)
         except ValueError:
             raise DataError(f"{source}: bad value {key}={value!r}, "
                             f"expected {cast.__name__}") from None
@@ -386,13 +363,8 @@ def parse_settings(data: bytes, schema: dict[str, type], source) -> dict:
 
 def format_settings(settings) -> str:
     """The ``key=value`` lines of a config dataclass, in field order."""
-    lines = []
-    for f in dataclasses.fields(settings):
-        value = getattr(settings, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name}={getattr(settings, f.name)}\n"
+                   for f in dataclasses.fields(settings))
 
 
 _MODEL_SCHEMA = settings_schema(ModelConfig)

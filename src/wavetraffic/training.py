@@ -14,13 +14,12 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ParameterError, TrainingError
-from .model import Model
+from .model import Model, ModelConfig
 from .optim import AdamState, adam_step
 
 __all__ = [
     "NormalizationStats",
     "SplitSpec",
-    "WindowSpec",
     "TrainConfig",
     "compute_stats",
     "normalize",
@@ -53,16 +52,6 @@ class SplitSpec:
             raise ParameterError(f"split fractions must be positive, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-12:
             raise ParameterError(f"split fractions must sum to 1, got {sum(fracs)}")
-
-
-@dataclass
-class WindowSpec:
-    input_length: int = 12
-    horizon: int = 12
-
-    def __post_init__(self):
-        if self.input_length < 1 or self.horizon < 1:
-            raise ParameterError("window lengths must be positive")
 
 
 @dataclass
@@ -134,26 +123,27 @@ def split(x, spec: SplitSpec = SplitSpec()):
     )
 
 
-def make_windows(x, spec: WindowSpec = WindowSpec()):
+def make_windows(x, horizon: int = 12):
     """Sliding (input, target) pairs from a (N, c, M_seg) segment.
 
-    Inputs are (W, N, c, L_in); targets (W, N, horizon) taken from
-    channel 0 starting right at each input's end.
+    Inputs are (W, N, c, L) with L = ``ModelConfig.window``; targets
+    (W, N, horizon) taken from channel 0 starting right at each input's end.
     """
+    if horizon < 1:
+        raise ParameterError(f"make_windows: horizon must be positive, got {horizon}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
         x = x[:, None, :]
     n, c, m = x.shape
-    total = spec.input_length + spec.horizon
+    length = ModelConfig.window
+    total = length + horizon
     if m < total:
         raise DimensionError(
             f"segment length {m} shorter than input+horizon = {total}"
         )
     starts = range(m - total + 1)
-    inputs = np.stack([x[:, :, s : s + spec.input_length] for s in starts])
-    targets = np.stack(
-        [x[:, 0, s + spec.input_length : s + total] for s in starts]
-    )
+    inputs = np.stack([x[:, :, s : s + length] for s in starts])
+    targets = np.stack([x[:, 0, s + length : s + total] for s in starts])
     return inputs, targets
 
 

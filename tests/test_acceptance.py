@@ -18,7 +18,6 @@ from wavetraffic import data_io, evalbench, training
 from wavetraffic import tensor as T
 from wavetraffic import wavelet as wv
 from wavetraffic.cli import main as cli_main
-from wavetraffic.errors import DimensionError, WavetrafficError
 from wavetraffic.graph import build_graph_bundle, chebyshev_basis, scaled_laplacian
 from wavetraffic.model import Model, ModelConfig
 from wavetraffic.tensor import Tensor
@@ -58,21 +57,10 @@ def synthetic_runs():
     tr_seg, va_seg, te_seg = training.split(x)  # 6:2:2
     stats = training.compute_stats(tr_seg)
     bundle = build_graph_bundle(tr_seg[:, 0, :], p_sp=0.25, cheb_order=3)
-    spec = training.WindowSpec()
-    trw = training.make_windows(training.normalize(tr_seg, stats), spec)
-    vaw = training.make_windows(training.normalize(va_seg, stats), spec)
-    tew = training.make_windows(training.normalize(te_seg, stats), spec)
+    trw, vaw, tew = (training.make_windows(training.normalize(seg, stats))
+                     for seg in (tr_seg, va_seg, te_seg))
     tcfg = training.TrainConfig(epochs=30, lr=2e-3, batch_size=32, seed=0)
-
-    def denorm(a):
-        return a * stats.std[None, :, None] + stats.mean[None, :, None]
-
-    def batched_predict(model, inputs):
-        return np.concatenate(
-            [model.predict(inputs[lo : lo + 64]) for lo in range(0, len(inputs), 64)]
-        )
-
-    out = {"denorm": denorm, "windows": (trw, vaw, tew)}
+    out = {"stats": stats, "windows": (trw, vaw, tew)}
     for level in (2, 0):
         cfg = ModelConfig(nodes=8, blocks=2, width=3, heads=3, level=level, channels=4)
         model = Model(cfg, bundle, seed=0)
@@ -80,14 +68,11 @@ def synthetic_runs():
         result = training.fit(model, trw, vaw, tcfg)
         wall = time.perf_counter() - t0
         model.graph.load_state(result.best_state)
-        te_x, te_y = tew
-        preds = batched_predict(model, te_x)
         out[level] = {
             "model": model,
             "log": result.log,
             "wall": wall,
-            "test_mae": evalbench.mae(denorm(te_y), denorm(preds)),
-            "batched_predict": batched_predict,
+            "test_mae": evalbench.mae(*training.predict_windows(model, tew, stats)),
         }
     return out
 
@@ -201,10 +186,11 @@ def test_criterion_04_branch_length_identity():
     raw = [cfg.window - s + 1 for s in cfg.kernel_sizes]
     pooled = [r // cfg.pool_window for r in raw]
     ok = raw == [10, 8, 6] and pooled == [5, 4, 3] and sum(pooled) == 12
-    for bad_kernels in [(3, 5), (2, 5, 7), (3, 5, 9), (3, 5, 13)]:
+    # the geometry is constant: no config sets another kernel set or window
+    for bad in ({"kernel_sizes": (3, 5)}, {"kernel_sizes": (2, 5, 7)}, {"window": 6}):
         try:
-            ModelConfig(nodes=4, kernel_sizes=bad_kernels)
-        except DimensionError:
+            ModelConfig(nodes=4, **bad)
+        except TypeError:
             continue
         ok = False
     _report(4, "gated-branch length identity {3,5,7}/W=2/M=12", ok,
@@ -275,11 +261,9 @@ def test_criterion_08_wavelet_ablation(synthetic_runs):
 def test_criterion_09_conformal_coverage(synthetic_runs):
     run = synthetic_runs[2]
     model = run["model"]
-    denorm = synthetic_runs["denorm"]
-    _, (va_x, va_y), (te_x, te_y) = synthetic_runs["windows"]
-    pv = denorm(run["batched_predict"](model, va_x))
-    pt = denorm(run["batched_predict"](model, te_x))
-    yv, yt = denorm(va_y), denorm(te_y)
+    _, vaw, tew = synthetic_runs["windows"]
+    yv, pv = training.predict_windows(model, vaw, synthetic_runs["stats"])
+    yt, pt = training.predict_windows(model, tew, synthetic_runs["stats"])
     covered, total = 0, 0
     for node in range(model.cfg.nodes):
         for step in range(model.cfg.horizon):

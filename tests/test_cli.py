@@ -148,7 +148,7 @@ class TestTrainAndForecast:
     def test_config_file_sets_every_key(self, dataset, tmp_path):
         settings = {
             "blocks": 1, "width": 4, "heads": 2, "level": 1, "cheb_order": 2,
-            "channels": 2, "window": 12, "horizon": 6, "filter_name": "d4",
+            "channels": 2, "horizon": 6, "filter_name": "d4",
             "epochs": 2, "lr": 1e-3, "batch_size": 64, "huber_delta": 0.5, "seed": 3,
         }
         assert sorted(cli._MODEL_KEYS.keys() | cli._TRAIN_KEYS.keys()) == sorted(settings)
@@ -375,10 +375,11 @@ class TestMalformedInput:
         (b"lr=1e-3\n# \xff\n", "not UTF-8 text"),
         (b"nodes=4\n", "unknown key(s): nodes"),
         (b"kernel_sizes=3,5,7\n", "unknown key(s): kernel_sizes"),
+        (b"window=12\n", "unknown key(s): window"),
         (b"pool_window=2\nin_channels=1\neps=1e-08\n",
          "unknown key(s): pool_window, in_channels, eps"),
     ], ids=["wrong_type", "unknown_key", "repeated_key", "no_equals", "not_utf8", "nodes",
-            "kernel_sizes", "constants"])
+            "kernel_sizes", "window", "constants"])
     def test_config_file_faults(self, dataset, tmp_path, capsys, text, message):
         data_path, _ = dataset
         cfg_file = tmp_path / "run.cfg"
@@ -422,6 +423,7 @@ class TestMalformedInput:
         ("unknown_config_key", "checkpoint config: unknown key(s): dropout"),
         ("constants_in_config",
          "checkpoint config: unknown key(s): pool_window, in_channels, eps"),
+        ("geometry_in_config", "checkpoint config: unknown key(s): kernel_sizes, window"),
         ("repeated_config_key", "checkpoint config: repeated key 'blocks'"),
         ("bad_config_value", "checkpoint config: bad value blocks='one', expected int"),
         ("config_not_utf8", "checkpoint config: not UTF-8 text"),
@@ -441,6 +443,10 @@ class TestMalformedInput:
             "constants_in_config": ("config.txt", lambda data: data.replace(
                 b"channels=", b"pool_window=2\nchannels=").replace(
                 b"filter_name=", b"in_channels=1\nfilter_name=") + b"eps=1e-08\n"),
+            # the lines a checkpoint written before the geometry became constant carries
+            "geometry_in_config": ("config.txt", lambda data: data.replace(
+                b"channels=", b"kernel_sizes=3,5,7\nchannels=").replace(
+                b"horizon=", b"window=12\nhorizon=")),
             "repeated_config_key": ("config.txt", lambda data: data + b"blocks=2\n"),
             "config_not_utf8": ("config.txt", lambda data: data + b"\xff\n"),
             "bad_config_value": ("config.txt",
@@ -515,3 +521,11 @@ def test_readme_cli_quick_start_parses():
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command == shlex.split(line)[1]
+
+
+def test_readme_config_keys_match_schema():
+    # the documented --config keys are exactly the settings the parser accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listing = re.search(r"typed by their annotations:(.*?)\.", readme, re.S).group(1)
+    keys = re.findall(r"`(\w+)`", listing)
+    assert sorted(keys) == sorted(cli._MODEL_KEYS.keys() | cli._TRAIN_KEYS.keys())

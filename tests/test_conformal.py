@@ -9,16 +9,6 @@ from wavetraffic import conformal as cf
 from wavetraffic.errors import DataError, DimensionError, ParameterError
 
 
-class TestScore:
-    def test_hand_values(self):
-        scores = cf.conformal_score([5.0, 1.0], [3.0, 1.0], [2.0, 0.5])
-        np.testing.assert_allclose(scores, [1.0, 0.0])
-
-    def test_floor_prevents_blowup(self):
-        s = cf.conformal_score([1.0], [0.0], [0.0])
-        assert s[0] == pytest.approx(1e8)
-
-
 class TestWeightedQuantile:
     def test_rank_formula(self):
         # n=9, beta=0.1: rank = ceil(0.9 * 10) = 9 -> the largest of 9

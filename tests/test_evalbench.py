@@ -80,10 +80,16 @@ class TestStepwise:
         assert steps.shape == (12,)
         assert steps.mean() == pytest.approx(ev.mae(y, y_hat))
 
-    def test_callable_metric(self):
+    def test_rmse_by_name(self):
         y = np.ones((3, 2))
-        steps = ev.stepwise_errors(y, y * 2.0, metric=ev.rmse)
+        steps = ev.stepwise_errors(y, y * 2.0, metric="rmse")
         np.testing.assert_allclose(steps, 1.0)
+
+    def test_unknown_metric_names_the_accepted_ones(self):
+        y = np.ones((3, 2))
+        with pytest.raises(ParameterError, match="unknown metric 'mse'; expected one of "
+                                                 "mae, mape, rmse"):
+            ev.stepwise_errors(y, y, "mse")
 
 
 class TestImprovement:
@@ -123,6 +129,15 @@ class TestTukeyTable:
             ev.tukey_critical_value(21, 0.05)
         with pytest.raises(ParameterError):
             ev.tukey_critical_value(10, 0.025)
+
+    @pytest.mark.parametrize("n_models, gamma", [(21, 0.05), (1, 0.05), (10, 0.025)])
+    def test_error_names_what_the_table_covers(self, n_models, gamma):
+        with pytest.raises(ParameterError) as info:
+            ev.tukey_critical_value(n_models, gamma)
+        message = str(info.value)
+        assert f"gamma={gamma} with {n_models} models" in message
+        assert "covers gamma in {0.01, 0.05, 0.1} and 2-20 models" in message
+        assert "xi" not in message
 
 
 class TestErrorTable:
@@ -169,12 +184,6 @@ class TestMcb:
         np.testing.assert_allclose(
             result.intervals[:, 1] - result.intervals[:, 0], expected
         )
-
-    def test_explicit_xi_overrides_table(self):
-        values = np.abs(np.random.default_rng(4).normal(size=(3, 4))) + 0.1
-        result = ev.mcb(self._table(values), xi=2.0)
-        assert result.xi == 2.0
-        assert result.critical_distance == pytest.approx(2.0 * np.sqrt(12 / 24.0))
 
     def test_monotone_transform_invariance(self):
         values = np.abs(np.random.default_rng(5).normal(size=(6, 4))) + 0.1

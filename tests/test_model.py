@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,14 +28,6 @@ class TestModelConfig:
             assert raw in (10, 8, 6)
             total += raw // cfg.pool_window
         assert total == cfg.window
-
-    def test_rejects_incompatible_kernel_set(self):
-        with pytest.raises(DimensionError):
-            ModelConfig(nodes=4, kernel_sizes=(3, 5))
-        with pytest.raises(DimensionError):
-            ModelConfig(nodes=4, kernel_sizes=(2, 5, 7))
-        with pytest.raises(DimensionError):
-            ModelConfig(nodes=4, kernel_sizes=(3, 5, 13))
 
     def test_rejects_width_not_divisible_by_heads(self):
         with pytest.raises(ParameterError):
@@ -255,13 +247,16 @@ class TestAttentionProperties:
                 T.constant(_window_batch(cfg, seed=8)), bad, 0
             )
 
-    def test_identity_hook_recovers_input(self, toy_model):
-        # with attention skipped the band decomposition must sum back to x
-        cfg = toy_model.cfg
-        x = T.constant(_window_batch(cfg, seed=9))
-        zero = T.constant(np.zeros((cfg.window, cfg.window)))
-        y, _ = toy_model.wavelet_temporal_attention(x, zero, 0, identity_f=True)
-        np.testing.assert_allclose(y.data, x.data, atol=1e-10)
+    @pytest.mark.parametrize("filter_name", ["haar", "d4"])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.filterwarnings("ignore:level-3 equivalent filter")
+    def test_band_operators_sum_to_identity(self, toy_setup, filter_name, level):
+        # the attention's band decomposition of the window sums back to it
+        cfg, bundle = toy_setup
+        model = Model(replace(cfg, level=level, filter_name=filter_name), bundle)
+        ops = model._mra_ops.data
+        assert ops.shape == (level + 1, 1, 1, cfg.window, cfg.window)
+        np.testing.assert_allclose(ops.sum(axis=0)[0, 0], np.eye(cfg.window), rtol=0, atol=1e-12)
 
 
 class TestChebGraphConv:
@@ -293,8 +288,6 @@ class TestChebGraphConv:
 class TestLevelZero:
     def test_disables_decomposition(self, toy_setup):
         cfg, bundle = toy_setup
-        from dataclasses import replace
-
         flat = Model(replace(cfg, level=0), bundle, seed=11)
         assert flat._mra_ops.shape == (1, 1, 1, cfg.window, cfg.window)
         np.testing.assert_array_equal(flat._mra_ops.data[0, 0, 0], np.eye(cfg.window))
@@ -358,10 +351,8 @@ class TestCheckpoint:
 
     def test_every_field_round_trips(self, tmp_path):
         default = ModelConfig(nodes=1)
-        # kernels {1,3,5} with pooling 2 on a 6-step window pool to {3,2,1}
         cfg = ModelConfig(nodes=5, blocks=2, width=4, heads=2, level=3, cheb_order=2,
-                          kernel_sizes=(1, 3, 5), channels=3, window=6, horizon=5,
-                          filter_name="d4")
+                          channels=3, horizon=5, filter_name="d4")
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
         save_checkpoint(tmp_path / "model.bin", cfg, {})
         loaded, state, extras = load_checkpoint(tmp_path / "model.bin")
@@ -369,11 +360,12 @@ class TestCheckpoint:
 
     def test_settable_fields(self):
         assert [f.name for f in fields(ModelConfig)] == [
-            "nodes", "blocks", "width", "heads", "level", "cheb_order", "kernel_sizes",
-            "channels", "window", "horizon", "filter_name",
+            "nodes", "blocks", "width", "heads", "level", "cheb_order", "channels", "horizon",
+            "filter_name",
         ]
-        with pytest.raises(TypeError):
-            ModelConfig(nodes=4, pool_window=2)
+        for constant in ({"pool_window": 2}, {"window": 6}, {"kernel_sizes": (3, 5)}):
+            with pytest.raises(TypeError):
+                ModelConfig(nodes=4, **constant)
 
     def test_restored_model_predicts_identically(self, toy_setup, toy_model, tmp_path):
         cfg, bundle = toy_setup
@@ -387,8 +379,6 @@ class TestCheckpoint:
 
     def test_bundle_mismatch_rejected(self, toy_setup):
         cfg, bundle = toy_setup
-        from dataclasses import replace
-
         with pytest.raises(DimensionError):
             Model(replace(cfg, nodes=cfg.nodes + 1), bundle)
         with pytest.raises(DimensionError):

@@ -103,6 +103,17 @@ class TestWindows:
         with pytest.raises(DimensionError):
             tr.make_windows(np.zeros((2, 1, 23)))
 
+    def test_horizon_sets_target_length(self):
+        x = np.arange(30.0)[None, None, :]
+        inputs, targets = tr.make_windows(x, horizon=3)
+        assert inputs.shape == (16, 1, 1, 12) and targets.shape == (16, 1, 3)
+        np.testing.assert_array_equal(targets[-1, 0], [27.0, 28.0, 29.0])
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_nonpositive_horizon_rejected(self, horizon):
+        with pytest.raises(ParameterError, match=f"horizon must be positive, got {horizon}"):
+            tr.make_windows(np.zeros((2, 1, 40)), horizon=horizon)
+
     @given(st.integers(24, 80))
     @settings(max_examples=40, deadline=None)
     def test_window_count_property(self, m):
