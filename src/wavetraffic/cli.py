@@ -265,13 +265,15 @@ def _cmd_forecast(args) -> int:
 
 def _cmd_sweep_level(args) -> int:
     base, bundle, stats, train_cfg, (tr, va, te) = _prepare_training(args)
+    # every level's config is checked before the first one trains
+    configs = [dataclasses.replace(base, level=level) for level in args.levels]
     rows = []
-    for level in args.levels:
-        model = Model(dataclasses.replace(base, level=level), bundle, seed=train_cfg.seed)
+    for cfg in configs:
+        model = Model(cfg, bundle, seed=train_cfg.seed)
         result = training.fit(model, tr, va, train_cfg)
         model.graph.load_state(result.best_state)
         y, pred = training.predict_windows(model, te, stats)
-        rows.append([level, evalbench.mape(y, pred), evalbench.mae(y, pred),
+        rows.append([cfg.level, evalbench.mape(y, pred), evalbench.mae(y, pred),
                      evalbench.rmse(y, pred)])
     data_io.save_table(args.out, rows, header=["level", "mape", "mae", "rmse"])
     print(f"wrote {len(rows)}-row level sweep to {args.out}")

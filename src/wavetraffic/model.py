@@ -64,6 +64,12 @@ class ModelConfig:
             raise ParameterError(
                 f"width {self.width} not divisible by head count {self.heads}"
             )
+        taps = (2 ** self.level - 1) * (len(wavelet.get_filter(self.filter_name)) - 1) + 1
+        if taps > self.window:
+            raise ParameterError(
+                f"level-{self.level} {self.filter_name} filter has {taps} taps, "
+                f"more than the {self.window}-step window"
+            )
 
     @property
     def head_width(self) -> int:
@@ -270,14 +276,14 @@ class Model:
     # -- full network ------------------------------------------------------
 
     def forward(self, x, collect_attention: bool = False):
-        """Map a (B, N, c0, M) or (N, c0, M) window batch to (B, N, horizon).
+        """Map a (B, N, c0, M) or (N, c0, M) window array to (B, N, horizon).
 
         Residual attention logits start at zero and thread through the
         stacked blocks. Returns the prediction ``Tensor`` (and, when
         requested, the list of all attention tensors for diagnostics).
         """
         cfg = self.cfg
-        arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        arr = np.asarray(x, dtype=np.float64)
         squeeze = arr.ndim == 3
         if squeeze:
             arr = arr[None]
@@ -286,7 +292,7 @@ class Model:
                 f"forward: expected (B, {cfg.nodes}, {cfg.in_channels}, {cfg.window}), "
                 f"got {arr.shape}"
             )
-        h = x if isinstance(x, Tensor) and not squeeze else T.constant(arr)
+        h = T.constant(arr)
         resid = T.constant(np.zeros((cfg.window, cfg.window)))
         collected: list[Tensor] = []
         sink = collected if collect_attention else None

@@ -29,10 +29,7 @@ __all__ = [
     "gated_tanh_pool",
     "layer_norm",
     "conv1d",
-    "avg_pool_last",
     "relu",
-    "tanh",
-    "sigmoid",
     "concat",
     "huber_loss",
 ]
@@ -143,19 +140,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g, owned=True)
-
-        return Tensor._result(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other))
-
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = _as_tensor(other)
         data = self.data * other.data
@@ -171,29 +155,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return self * other.power(-1.0)
         return self * (1.0 / float(other))
-
-    def power(self, exponent: float):
-        data = np.power(self.data, exponent)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * exponent * np.power(self.data, exponent - 1.0), owned=True)
-
-        return Tensor._result(data, (self,), backward)
-
-    def __getitem__(self, key):
-        data = self.data[key]
-
-        def backward(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                full[key] = g
-                self._accumulate(full, owned=True)
-
-        return Tensor._result(data, (self,), backward)
 
     # -- shape ops ---------------------------------------------------------
 
@@ -324,28 +286,6 @@ def relu(t: Tensor) -> Tensor:
     return Tensor._result(data, (t,), backward)
 
 
-def tanh(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    data = np.tanh(t.data)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * (1.0 - data * data), owned=True)
-
-    return Tensor._result(data, (t,), backward)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    data = 1.0 / (1.0 + np.exp(-t.data))
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * data * (1.0 - data), owned=True)
-
-    return Tensor._result(data, (t,), backward)
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
     """``exp(x - max) / sum`` over the last axis, in one fresh array.
 
@@ -383,9 +323,10 @@ def softmax_last(t: Tensor) -> Tensor:
 
 
 # The fused ops below are one graph node each. Their forward and
-# backward repeat the arithmetic of the composed ops they replace, array
-# for array, so values and gradients are the same bits; the graph just
-# keeps no intermediate node (and no gradient array for one).
+# backward repeat the arithmetic of the composed op chains they replace
+# (kept as references in tests/conftest.py), array for array, so values
+# and gradients are the same bits; the graph just keeps no intermediate
+# node (and no gradient array for one).
 
 
 def attention_logits(q: Tensor, k: Tensor, bias: Tensor, scale: float) -> Tensor:
@@ -432,7 +373,8 @@ def softmax_matmul(logits: Tensor, v: Tensor) -> Tensor:
 
 
 def gated_tanh_pool(q: Tensor, c: int, window: int) -> Tensor:
-    """``avg_pool_last(tanh(q[..., :c, :]) * sigmoid(q[..., c:, :]), window)`` in one node.
+    """``tanh(q[..., :c, :]) * sigmoid(q[..., c:, :])`` mean-pooled over
+    non-overlapping windows of the last axis (remainder dropped), in one node.
 
     The window mean is a sum of strided slices, added in the order of
     ``mean``'s reduction for windows below 8, then divided by ``window``.
@@ -477,8 +419,8 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     One graph node. The forward repeats the arithmetic of the composed
-    ops (mean as sum times 1/n, ``power(-0.5)``), so its values are the
-    same bits; the backward is the closed-form layer-norm gradient.
+    ops (mean as sum times 1/n, then the -0.5 power), so its values are
+    the same bits; the backward is the closed-form layer-norm gradient.
     """
     if eps <= 0:
         raise ParameterError(f"layer_norm: eps must be positive, got {eps}")
@@ -555,26 +497,6 @@ def conv1d(t: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 
     parents = (t, kernel) if bias is None else (t, kernel, bias)
     return Tensor._result(data, parents, backward)
-
-
-def avg_pool_last(t: Tensor, window: int) -> Tensor:
-    """Non-overlapping mean pooling along the last axis (remainder dropped)."""
-    t = _as_tensor(t)
-    if window < 1:
-        raise ParameterError(f"avg_pool_last: window must be >= 1, got {window}")
-    length = t.shape[-1]
-    t_out = length // window
-    trimmed = t.data[..., : t_out * window]
-    data = trimmed.reshape(t.shape[:-1] + (t_out, window)).mean(axis=-1)
-
-    def backward(g):
-        if t.requires_grad:
-            gx = np.zeros_like(t.data)
-            expanded = np.repeat(g[..., None], window, axis=-1) / window
-            gx[..., : t_out * window] = expanded.reshape(t.shape[:-1] + (t_out * window,))
-            t._accumulate(gx, owned=True)
-
-    return Tensor._result(data, (t,), backward)
 
 
 def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:

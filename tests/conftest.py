@@ -55,6 +55,92 @@ def gradcheck_op(build_loss, params, rtol=1e-4):
         assert_grads_close(analytic, num, rtol=rtol)
 
 
+# Graph ops that no model code records, kept here as references for the
+# composed chains and the gradient checks. Each records one node through
+# ``Tensor._result`` with the forward and backward arithmetic the engine
+# used when it exported them, so the chains below keep their bits.
+
+
+def ref_neg(t):
+    t = T._as_tensor(t)
+
+    def backward(g):
+        if t.requires_grad:
+            t._accumulate(-g, owned=True)
+
+    return T.Tensor._result(-t.data, (t,), backward)
+
+
+def ref_sub(a, b):
+    """``a - b`` as ``a + (-b)``."""
+    return T._as_tensor(a) + ref_neg(b)
+
+
+def ref_power(t, exponent):
+    t = T._as_tensor(t)
+    data = np.power(t.data, exponent)
+
+    def backward(g):
+        if t.requires_grad:
+            t._accumulate(g * exponent * np.power(t.data, exponent - 1.0), owned=True)
+
+    return T.Tensor._result(data, (t,), backward)
+
+
+def ref_index(t, key):
+    """``t[key]``; the gradient is scattered into zeros shaped like ``t``."""
+    t = T._as_tensor(t)
+    data = t.data[key]
+
+    def backward(g):
+        if t.requires_grad:
+            full = np.zeros_like(t.data)
+            full[key] = g
+            t._accumulate(full, owned=True)
+
+    return T.Tensor._result(data, (t,), backward)
+
+
+def ref_tanh(t):
+    t = T._as_tensor(t)
+    data = np.tanh(t.data)
+
+    def backward(g):
+        if t.requires_grad:
+            t._accumulate(g * (1.0 - data * data), owned=True)
+
+    return T.Tensor._result(data, (t,), backward)
+
+
+def ref_sigmoid(t):
+    t = T._as_tensor(t)
+    data = 1.0 / (1.0 + np.exp(-t.data))
+
+    def backward(g):
+        if t.requires_grad:
+            t._accumulate(g * data * (1.0 - data), owned=True)
+
+    return T.Tensor._result(data, (t,), backward)
+
+
+def ref_avg_pool_last(t, window):
+    """Non-overlapping mean pooling along the last axis (remainder dropped)."""
+    t = T._as_tensor(t)
+    length = t.shape[-1]
+    t_out = length // window
+    trimmed = t.data[..., : t_out * window]
+    data = trimmed.reshape(t.shape[:-1] + (t_out, window)).mean(axis=-1)
+
+    def backward(g):
+        if t.requires_grad:
+            gx = np.zeros_like(t.data)
+            expanded = np.repeat(g[..., None], window, axis=-1) / window
+            gx[..., : t_out * window] = expanded.reshape(t.shape[:-1] + (t_out * window,))
+            t._accumulate(gx, owned=True)
+
+    return T.Tensor._result(data, (t,), backward)
+
+
 # The fused tensor ops as the chains of graph ops they replaced: each fused
 # op must match its chain bit for bit, forward and backward.
 
@@ -69,11 +155,11 @@ def composed_softmax_matmul(logits, v):
 
 
 def composed_gated_tanh(q, c):
-    return T.tanh(q[..., :c, :]) * T.sigmoid(q[..., c:, :])
+    return ref_tanh(ref_index(q, np.s_[..., :c, :])) * ref_sigmoid(ref_index(q, np.s_[..., c:, :]))
 
 
 def composed_gated_tanh_pool(q, c, window):
-    return T.avg_pool_last(composed_gated_tanh(q, c), window)
+    return ref_avg_pool_last(composed_gated_tanh(q, c), window)
 
 
 COMPOSED_OPS = {

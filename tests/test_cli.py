@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wavetraffic import conformal as cp
-from wavetraffic import cli, data_io, wavelet
+from wavetraffic import cli, data_io, training, wavelet
 from wavetraffic.cli import build_parser, main
 from wavetraffic.model import load_checkpoint, save_checkpoint
 
@@ -338,6 +338,25 @@ class TestSweepLevel:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "level" in err and "--levels" in err
         assert not out.exists()
+
+
+    def test_too_wide_level_fails_before_any_training(self, dataset, tmp_path, capsys,
+                                                      monkeypatch):
+        # level 3 of d4 is a 22-tap filter on the 12-step window; levels 1 and 2 fit
+        fits = []
+        fit = training.fit
+
+        def counted(*args, **kwargs):
+            fits.append(1)
+            return fit(*args, **kwargs)
+        monkeypatch.setattr(training, "fit", counted)
+        data_path, _ = dataset
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-level", "--data", str(data_path), "--filter", "d4",
+                     "--levels", "1", "2", "3", "--out", str(out), *_FAST_SWEEP]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "22 taps" in err and "12-step window" in err
+        assert fits == [] and not out.exists()
 
 
 class TestUsageErrors:

@@ -39,6 +39,17 @@ class TestModelConfig:
         with pytest.raises(ParameterError):
             ModelConfig(nodes=4, level=-1)
 
+    @pytest.mark.parametrize("level, filter_name, taps", [(4, "haar", 16), (3, "d4", 22)])
+    def test_rejects_filter_wider_than_window(self, level, filter_name, taps):
+        # the widest accepted levels: haar 3 (8 taps), d4 2 (10 taps)
+        ModelConfig(nodes=4, level=level - 1, filter_name=filter_name)
+        with pytest.raises(ParameterError, match=f"{taps} taps, more than the 12-step window"):
+            ModelConfig(nodes=4, level=level, filter_name=filter_name)
+
+    def test_rejects_unknown_filter(self):
+        with pytest.raises(ParameterError, match="unknown wavelet filter 'db2'"):
+            ModelConfig(nodes=4, filter_name="db2")
+
     def test_component_count(self):
         assert ModelConfig(nodes=4, level=2).n_components == 3
         assert ModelConfig(nodes=4, level=0).n_components == 1
@@ -249,10 +260,13 @@ class TestAttentionProperties:
 
     @pytest.mark.parametrize("filter_name", ["haar", "d4"])
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
-    @pytest.mark.filterwarnings("ignore:level-3 equivalent filter")
     def test_band_operators_sum_to_identity(self, toy_setup, filter_name, level):
         # the attention's band decomposition of the window sums back to it
         cfg, bundle = toy_setup
+        if (level, filter_name) == (3, "d4"):  # 22 taps: rejected before any operator is built
+            with pytest.raises(ParameterError, match="22 taps"):
+                replace(cfg, level=level, filter_name=filter_name)
+            return
         model = Model(replace(cfg, level=level, filter_name=filter_name), bundle)
         ops = model._mra_ops.data
         assert ops.shape == (level + 1, 1, 1, cfg.window, cfg.window)
@@ -351,7 +365,7 @@ class TestCheckpoint:
 
     def test_every_field_round_trips(self, tmp_path):
         default = ModelConfig(nodes=1)
-        cfg = ModelConfig(nodes=5, blocks=2, width=4, heads=2, level=3, cheb_order=2,
+        cfg = ModelConfig(nodes=5, blocks=2, width=4, heads=2, level=1, cheb_order=2,
                           channels=3, horizon=5, filter_name="d4")
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
         save_checkpoint(tmp_path / "model.bin", cfg, {})
