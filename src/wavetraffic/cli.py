@@ -21,9 +21,7 @@ import numpy as np
 from . import conformal as cp
 from . import data_io, evalbench, training, wavelet
 from .errors import DataError, ParameterError, WavetrafficError
-from .graph import (
-    GraphBundle, StadMatrix, StrgMask, build_graph_bundle, chebyshev_basis, scaled_laplacian,
-)
+from .graph import GraphBundle, StadMatrix, StrgMask, build_graph_bundle, scaled_laplacian
 from .model import (
     Model, ModelConfig, load_checkpoint, parse_settings, save_checkpoint, settings_schema,
 )
@@ -197,7 +195,7 @@ def _prepare_training(args):
     stats = training.compute_stats(train_seg)
     bundle_input = _stad_input(train_seg, args.stad_window)
     cfg = ModelConfig(nodes=len(x), **_resolve(args, file_cfg, _MODEL_KEYS))
-    bundle = build_graph_bundle(bundle_input, p_sp=args.p_sp, cheb_order=cfg.cheb_order)
+    bundle = build_graph_bundle(bundle_input, p_sp=args.p_sp)
     tr, va, te = (training.make_windows(training.normalize(seg, stats), cfg.horizon)
                   for seg in (train_seg, val_seg, test_seg))
     return cfg, bundle, stats, train_cfg, (tr, va, te)
@@ -230,17 +228,24 @@ def _cmd_train(args) -> int:
 
 def _model_from_checkpoint(path):
     cfg, state, extras = load_checkpoint(path)
-    missing = sorted({"norm_mean", "norm_std", "a_stad", "strg_mask", "a_stag"} - extras.keys())
+    n = cfg.nodes
+    shapes = {"a_stad": (n, n), "strg_mask": (n, n), "a_stag": (n, n),
+              "norm_mean": (n,), "norm_std": (n,)}
+    missing = sorted(shapes.keys() - extras.keys())
     if missing:
         raise DataError(f"{path}: checkpoint lacks {', '.join(f'extra/{m}' for m in missing)}")
-    stats = training.NormalizationStats(mean=extras["norm_mean"], std=extras["norm_std"])
-    stad = StadMatrix(adjacency=extras["a_stad"], distances=1.0 - extras["a_stad"])
-    mask = extras["strg_mask"]
-    strg = StrgMask(mask=mask, n_keep=int(mask[0].sum()), sparsity=float("nan"))
-    lap = scaled_laplacian(extras["a_stag"])
-    cheb = chebyshev_basis(lap, cfg.cheb_order)
-    bundle = GraphBundle(stad=stad, strg=strg, a_stag=extras["a_stag"],
-                         laplacian=lap, cheb=cheb)
+    for name, shape in shapes.items():
+        if extras[name].shape != shape:
+            raise DataError(f"{path}: extra/{name} has shape {extras[name].shape}, "
+                            f"expected {shape} for {n} nodes")
+    std = extras["norm_std"]
+    bad = np.count_nonzero(~(np.isfinite(std) & (std > 0)))
+    if bad:
+        raise DataError(f"{path}: extra/norm_std has {bad} non-finite or non-positive entries")
+    stats = training.NormalizationStats(mean=extras["norm_mean"], std=std)
+    a_stag = extras["a_stag"]
+    bundle = GraphBundle(StadMatrix(extras["a_stad"]), StrgMask(extras["strg_mask"]), a_stag,
+                         scaled_laplacian(a_stag))
     model = Model(cfg, bundle)
     model.graph.load_state(state)
     return model, stats

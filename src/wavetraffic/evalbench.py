@@ -136,8 +136,6 @@ class McbResult:
     intervals: np.ndarray  # (models, 2): mean rank -/+ CD/2
     best_index: int
     significantly_worse: np.ndarray  # bool per model
-    gamma: float
-    xi: float
 
 
 def _rank_column(col: np.ndarray, ties: str) -> np.ndarray:
@@ -183,6 +181,4 @@ def mcb(table: ErrorTable, gamma: float = 0.05, ties: str = "max") -> McbResult:
         intervals=intervals,
         best_index=best,
         significantly_worse=worse,
-        gamma=gamma,
-        xi=float(xi),
     )

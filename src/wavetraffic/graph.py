@@ -1,5 +1,9 @@
 """Spatial graph construction: transport-based node distances, the
-sparse relevance mask, the scaled Laplacian, and the Chebyshev basis.
+sparse relevance mask and the scaled Laplacian.
+
+A :class:`GraphBundle` holds only what the training data determines. The
+Chebyshev basis depends on the model's order as well, so the model builds
+it from the bundle's Laplacian with :func:`chebyshev_basis`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ __all__ = [
     "StadMatrix",
     "StrgMask",
     "ScaledLaplacian",
-    "ChebyshevBasis",
     "GraphBundle",
     "stad_distance",
     "build_stad",
@@ -33,7 +36,6 @@ class StadMatrix:
     """Similarity adjacency A[i,j] = 1 - distance(i,j), unit diagonal."""
 
     adjacency: np.ndarray
-    distances: np.ndarray
 
 
 @dataclass
@@ -41,8 +43,6 @@ class StrgMask:
     """Binary mask keeping each node's strongest neighbors."""
 
     mask: np.ndarray
-    n_keep: int
-    sparsity: float
 
 
 @dataclass
@@ -51,27 +51,16 @@ class ScaledLaplacian:
 
     matrix: np.ndarray
     lambda_max: float
-    degrees: np.ndarray
-    adjacency: np.ndarray
-
-
-@dataclass
-class ChebyshevBasis:
-    """[T_0(Lt), ..., T_{K-1}(Lt)] built by the three-term recurrence."""
-
-    matrices: list[np.ndarray]
-    order: int
 
 
 @dataclass
 class GraphBundle:
-    """Everything the model needs about the sensor graph."""
+    """The sensor graph as measured from the training window."""
 
     stad: StadMatrix
     strg: StrgMask
     a_stag: np.ndarray
     laplacian: ScaledLaplacian
-    cheb: ChebyshevBasis
 
 
 def stad_distance(u, v) -> float:
@@ -108,7 +97,7 @@ def build_stad(x) -> StadMatrix:
     for i in range(n):
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = stad_distance(x[i], x[j])
-    return StadMatrix(adjacency=1.0 - dist, distances=dist)
+    return StadMatrix(adjacency=1.0 - dist)
 
 
 def sparsify(stad: StadMatrix, p_sp: float = 0.01) -> StrgMask:
@@ -122,14 +111,11 @@ def sparsify(stad: StadMatrix, p_sp: float = 0.01) -> StrgMask:
     a = stad.adjacency
     n = a.shape[0]
     n_keep = max(1, math.ceil(n * p_sp))
+    # one stable sort per row: self first, then larger values, ties to the lower index
+    keep = np.lexsort((-a, ~np.eye(n, dtype=bool)), axis=-1)[:, :n_keep]
     mask = np.zeros((n, n))
-    for i in range(n):
-        mask[i, i] = 1.0
-        others = np.delete(np.arange(n), i)
-        # stable sort on negated values => ties favor the lower index
-        order = others[np.argsort(-a[i, others], kind="stable")]
-        mask[i, order[: n_keep - 1]] = 1.0
-    return StrgMask(mask=mask, n_keep=n_keep, sparsity=p_sp)
+    np.put_along_axis(mask, keep, 1.0, axis=-1)
+    return StrgMask(mask=mask)
 
 
 def build_stag(stad: StadMatrix, strg: StrgMask) -> np.ndarray:
@@ -156,35 +142,32 @@ def scaled_laplacian(a_stag) -> ScaledLaplacian:
         a = 0.5 * (a + a.T)
     if np.any(a < 0):
         raise ParameterError("scaled_laplacian: adjacency entries must be nonnegative")
-    degrees = a.sum(axis=1)
-    lap = np.diag(degrees) - a
+    lap = np.diag(a.sum(axis=1)) - a
     lam = float(np.linalg.eigvalsh(lap).max(initial=0.0))
     if lam < 1e-12:
         lam = 2.0
     n = a.shape[0]
     scaled = (2.0 / lam) * lap - np.eye(n)
-    return ScaledLaplacian(matrix=scaled, lambda_max=lam, degrees=degrees, adjacency=a)
+    return ScaledLaplacian(matrix=scaled, lambda_max=lam)
 
 
-def chebyshev_basis(lap: ScaledLaplacian, order: int) -> ChebyshevBasis:
-    """T_0 = I, T_1 = Lt, T_k = 2 Lt T_{k-1} - T_{k-2}."""
+def chebyshev_basis(lap: ScaledLaplacian, order: int) -> np.ndarray:
+    """The (order, N, N) stack T_0 = I, T_1 = Lt, T_k = 2 Lt T_{k-1} - T_{k-2}."""
     if order < 1:
         raise ParameterError(f"chebyshev_basis: order must be >= 1, got {order}")
     lt = lap.matrix
     n = lt.shape[0]
     mats = [np.eye(n)]
     if order > 1:
-        mats.append(lt.copy())
+        mats.append(lt)
     for _ in range(2, order):
         mats.append(2.0 * lt @ mats[-1] - mats[-2])
-    return ChebyshevBasis(matrices=mats, order=order)
+    return np.stack(mats)
 
 
-def build_graph_bundle(train_x, p_sp: float = 0.01, cheb_order: int = 3) -> GraphBundle:
+def build_graph_bundle(train_x, p_sp: float = 0.01) -> GraphBundle:
     """Full graph pipeline from a training-window node x time matrix."""
     stad = build_stad(train_x)
     strg = sparsify(stad, p_sp)
     a_stag = build_stag(stad, strg)
-    lap = scaled_laplacian(a_stag)
-    cheb = chebyshev_basis(lap, cheb_order)
-    return GraphBundle(stad=stad, strg=strg, a_stag=a_stag, laplacian=lap, cheb=cheb)
+    return GraphBundle(stad=stad, strg=strg, a_stag=a_stag, laplacian=scaled_laplacian(a_stag))

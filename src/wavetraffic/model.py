@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from . import wavelet
 from .errors import DataError, DimensionError, ParameterError
-from .graph import GraphBundle
+from .graph import GraphBundle, chebyshev_basis
 from .tensor import Graph, Tensor
 
 __all__ = ["ModelConfig", "Model", "save_checkpoint", "load_checkpoint", "settings_schema",
@@ -95,23 +95,18 @@ class Model:
     """
 
     def __init__(self, cfg: ModelConfig, bundle: GraphBundle, seed: int = 0):
-        if bundle.cheb.order != cfg.cheb_order:
-            raise DimensionError(
-                f"Chebyshev basis order {bundle.cheb.order} != config order {cfg.cheb_order}"
-            )
-        if bundle.strg.mask.shape != (cfg.nodes, cfg.nodes):
-            raise DimensionError(
-                f"mask shape {bundle.strg.mask.shape} != ({cfg.nodes}, {cfg.nodes})"
-            )
+        for name, arr in (("mask", bundle.strg.mask), ("Laplacian", bundle.laplacian.matrix)):
+            if arr.shape != (cfg.nodes, cfg.nodes):
+                raise DimensionError(f"{name} shape {arr.shape} != ({cfg.nodes}, {cfg.nodes})")
         self.cfg = cfg
-        self.bundle = bundle
         self.graph = Graph()
         if cfg.level > 0:
             ops = wavelet.mra_matrices(cfg.filter_name, cfg.level, cfg.window)
         else:
             ops = [np.eye(cfg.window)]
         self._mra_ops = T.constant(np.stack(ops)[:, None, None])  # (J, 1, 1, M, M)
-        self._cheb = T.constant(np.stack(bundle.cheb.matrices)[:, None])  # (K, 1, N, N)
+        cheb = chebyshev_basis(bundle.laplacian, cfg.cheb_order)
+        self._cheb = T.constant(cheb[:, None])  # (K, 1, N, N)
         self._mask = T.constant(bundle.strg.mask)
         self._register_parameters(np.random.default_rng(seed))
 

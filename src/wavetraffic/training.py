@@ -88,19 +88,19 @@ def compute_stats(train_x) -> NormalizationStats:
     return NormalizationStats(mean=mean, std=std)
 
 
-def _node_shape(stats: NormalizationStats, ndim: int):
+def _node_shape(ndim: int):
     return (-1,) + (1,) * (ndim - 1)
 
 
 def normalize(x, stats: NormalizationStats) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    shape = _node_shape(stats, x.ndim)
+    shape = _node_shape(x.ndim)
     return (x - stats.mean.reshape(shape)) / stats.std.reshape(shape)
 
 
 def denormalize(x_norm, stats: NormalizationStats) -> np.ndarray:
     x = np.asarray(x_norm, dtype=np.float64)
-    shape = _node_shape(stats, x.ndim)
+    shape = _node_shape(x.ndim)
     return x * stats.std.reshape(shape) + stats.mean.reshape(shape)
 
 

@@ -175,7 +175,7 @@ def toy_setup():
     rng = np.random.default_rng(7)
     n = 4
     train = np.abs(rng.normal(5.0, 1.0, size=(n, 120)))
-    bundle = build_graph_bundle(train, p_sp=0.5, cheb_order=3)
+    bundle = build_graph_bundle(train, p_sp=0.5)
     cfg = ModelConfig(nodes=n, blocks=2, width=3, heads=3, level=2, channels=2)
     return cfg, bundle
 

@@ -56,7 +56,7 @@ def synthetic_runs():
     x = data_io.synthetic(8, 4032, seed=42)
     tr_seg, va_seg, te_seg = training.split(x)  # 6:2:2
     stats = training.compute_stats(tr_seg)
-    bundle = build_graph_bundle(tr_seg[:, 0, :], p_sp=0.25, cheb_order=3)
+    bundle = build_graph_bundle(tr_seg[:, 0, :], p_sp=0.25)
     trw, vaw, tew = (training.make_windows(training.normalize(seg, stats))
                      for seg in (tr_seg, va_seg, te_seg))
     tcfg = training.TrainConfig(epochs=30, lr=2e-3, batch_size=32, seed=0)
@@ -235,8 +235,7 @@ def test_criterion_06_laplacian_spectrum_and_chebyshev():
         basis = chebyshev_basis(lap, 4)
         lt = lap.matrix
         for k in range(2, 4):
-            res = np.max(np.abs(basis.matrices[k]
-                                - (2.0 * lt @ basis.matrices[k - 1] - basis.matrices[k - 2])))
+            res = np.max(np.abs(basis[k] - (2.0 * lt @ basis[k - 1] - basis[k - 2])))
             worst_res = max(worst_res, float(res))
             ok &= res < 1e-10
     _report(6, "Laplacian spectrum in [-1, 1] + Chebyshev recurrence", ok,

@@ -453,6 +453,14 @@ class TestMalformedInput:
         ("missing_entry", "checkpoint has no entry 'tensors/block0.gc.theta'"),
         ("short_tensor", "tensor 'block0.gc.theta' has"),
         ("missing_extra", "checkpoint lacks extra/norm_mean"),
+        ("a_stag_too_wide", "extra/a_stag has shape (5, 5), expected (4, 4) for 4 nodes"),
+        ("a_stad_not_square", "extra/a_stad has shape (4, 3), expected (4, 4)"),
+        ("strg_mask_flat", "extra/strg_mask has shape (16,), expected (4, 4)"),
+        ("norm_mean_length_one", "extra/norm_mean has shape (1,), expected (4,)"),
+        ("norm_std_length_three", "extra/norm_std has shape (3,), expected (4,)"),
+        ("norm_std_zero", "extra/norm_std has 4 non-finite or non-positive entries"),
+        ("norm_std_nan", "extra/norm_std has 1 non-finite or non-positive entries"),
+        ("norm_std_negative_and_inf", "extra/norm_std has 2 non-finite or non-positive entries"),
     ])
     def test_forecast_malformed_checkpoint(self, trained, dataset, tmp_path, capsys,
                                            fault, message):
@@ -477,8 +485,22 @@ class TestMalformedInput:
             "missing_extra": ("manifest.txt", lambda data: b"\n".join(
                 line for line in data.split(b"\n") if not line.startswith(b"extra/norm_mean"))),
         }
+        bad_extras = {
+            "a_stag_too_wide": ("a_stag", np.eye(5)),
+            "a_stad_not_square": ("a_stad", np.ones((4, 3))),
+            "strg_mask_flat": ("strg_mask", np.ones(16)),
+            "norm_mean_length_one": ("norm_mean", np.zeros(1)),
+            "norm_std_length_three": ("norm_std", np.ones(3)),
+            "norm_std_zero": ("norm_std", np.zeros(4)),
+            "norm_std_nan": ("norm_std", np.array([1.0, np.nan, 1.0, 1.0])),
+            "norm_std_negative_and_inf": ("norm_std", np.array([1.0, -1.0, 1.0, np.inf])),
+        }
         bad = tmp_path / "bad.bin"
-        if fault == "not_zip":
+        if fault in bad_extras:
+            cfg, state, extras = load_checkpoint(trained / "checkpoint.bin")
+            name, value = bad_extras[fault]
+            save_checkpoint(bad, cfg, state, {**extras, name: value})
+        elif fault == "not_zip":
             bad.write_text("epoch,loss\n1,0.5\n")
         elif fault in ("bad_crc", "bad_deflate_stream"):
             method = zipfile.ZIP_DEFLATED if fault == "bad_deflate_stream" else zipfile.ZIP_STORED

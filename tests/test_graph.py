@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,20 @@ def brute_wasserstein(u, v):
     for t in range(len(u) - 1):
         total += abs(u[: t + 1].sum() - v[: t + 1].sum())
     return total / (len(u) - 1)
+
+
+def loop_sparsify_mask(a, p_sp):
+    """Per-row reference for ``sparsify``: self, then the N_r - 1 largest
+    other entries by a stable sort, so ties go to the lower index."""
+    n = a.shape[0]
+    n_keep = max(1, math.ceil(n * p_sp))
+    mask = np.zeros((n, n))
+    for i in range(n):
+        mask[i, i] = 1.0
+        others = np.delete(np.arange(n), i)
+        order = others[np.argsort(-a[i, others], kind="stable")]
+        mask[i, order[: n_keep - 1]] = 1.0
+    return mask
 
 
 class TestStadDistance:
@@ -68,7 +84,6 @@ class TestBuildStad:
         stad = G.build_stad(x)
         np.testing.assert_allclose(np.diag(stad.adjacency), 1.0)
         np.testing.assert_allclose(stad.adjacency, stad.adjacency.T)
-        np.testing.assert_allclose(stad.adjacency, 1.0 - stad.distances)
         assert np.all((stad.adjacency >= 0.0) & (stad.adjacency <= 1.0))
 
     def test_matches_pairwise_calls(self):
@@ -77,7 +92,7 @@ class TestBuildStad:
         for i in range(4):
             for j in range(4):
                 expected = 0.0 if i == j else G.stad_distance(x[i], x[j])
-                assert stad.distances[i, j] == pytest.approx(expected)
+                assert 1.0 - stad.adjacency[i, j] == pytest.approx(expected)
 
     def test_rejects_single_row(self):
         with pytest.raises(DimensionError):
@@ -87,18 +102,18 @@ class TestBuildStad:
 class TestSparsify:
     def _stad(self, a):
         a = np.asarray(a, float)
-        return G.StadMatrix(adjacency=a, distances=1.0 - a)
+        return G.StadMatrix(adjacency=a)
 
     def test_keep_count(self):
         x = np.abs(np.random.default_rng(2).normal(5, 1, size=(10, 50)))
         strg = G.sparsify(G.build_stad(x), p_sp=0.25)
-        assert strg.n_keep == 3  # ceil(10 * 0.25)
+        # ceil(10 * 0.25) = 3 kept per row
         np.testing.assert_array_equal(strg.mask.sum(axis=1), np.full(10, 3.0))
 
     def test_minimum_one_neighbor(self):
         x = np.abs(np.random.default_rng(3).normal(5, 1, size=(8, 50)))
         strg = G.sparsify(G.build_stad(x), p_sp=0.01)
-        assert strg.n_keep == 1
+        np.testing.assert_array_equal(strg.mask.sum(axis=1), np.ones(8))
         np.testing.assert_array_equal(strg.mask, np.eye(8))
 
     def test_self_always_kept(self):
@@ -130,6 +145,24 @@ class TestSparsify:
         assert strg.mask[0, 1] == 1.0 and strg.mask[0, 2] == 0.0
         assert strg.mask[3, 0] == 1.0 and strg.mask[3, 1] == 0.0
 
+    def test_matches_per_row_loop(self):
+        rng = np.random.default_rng(10)
+        for trial in range(400):
+            n = int(rng.integers(2, 14))
+            kind = trial % 4
+            if kind == 0:  # distinct values, any diagonal
+                a = rng.uniform(size=(n, n))
+            elif kind == 1:  # heavily tied, diagonal included
+                a = rng.integers(0, 3, size=(n, n)) / 2.0
+            elif kind == 2:  # constant off the diagonal
+                a = np.full((n, n), rng.uniform())
+                np.fill_diagonal(a, 1.0)
+            else:
+                a = G.build_stad(np.abs(rng.normal(5, 1, size=(n, 30)))).adjacency
+            p_sp = float(rng.choice([0.01, 0.1, 0.25, 0.5, 0.75, 1.0, rng.uniform(0.01, 1.0)]))
+            np.testing.assert_array_equal(G.sparsify(self._stad(a), p_sp).mask,
+                                          loop_sparsify_mask(a, p_sp))
+
     def test_p_sp_validation(self):
         stad = self._stad(np.eye(3))
         for bad in (0.0, -0.1, 1.5):
@@ -149,7 +182,7 @@ class TestBuildStag:
             [0, 1, 1],
             [0, 1, 1],
         ], dtype=float)
-        stag = G.build_stag(G.StadMatrix(a, 1.0 - a), G.StrgMask(mask, 2, 0.5))
+        stag = G.build_stag(G.StadMatrix(a), G.StrgMask(mask))
         np.testing.assert_allclose(stag, stag.T)
         # edge (0,1) survives because row 0 kept it even though row 1 did not
         assert stag[0, 1] == pytest.approx(0.9)
@@ -193,7 +226,7 @@ class TestScaledLaplacian:
         a = np.array([[0.0, 1.0], [1.0 + 5e-10, 0.0]])
         with pytest.warns(UserWarning, match="symmetrizing"):
             lap = G.scaled_laplacian(a)
-        np.testing.assert_allclose(lap.adjacency, lap.adjacency.T)
+        np.testing.assert_allclose(lap.matrix, lap.matrix.T)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ParameterError):
@@ -205,8 +238,9 @@ class TestChebyshevBasis:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         lap = G.scaled_laplacian(a)
         basis = G.chebyshev_basis(lap, 3)
-        np.testing.assert_array_equal(basis.matrices[0], np.eye(2))
-        np.testing.assert_array_equal(basis.matrices[1], lap.matrix)
+        assert basis.shape == (3, 2, 2)
+        np.testing.assert_array_equal(basis[0], np.eye(2))
+        np.testing.assert_array_equal(basis[1], lap.matrix)
 
     def test_recurrence_residual(self):
         rng = np.random.default_rng(7)
@@ -219,8 +253,7 @@ class TestChebyshevBasis:
             basis = G.chebyshev_basis(lap, 5)
             lt = lap.matrix
             for k in range(2, 5):
-                residual = basis.matrices[k] - (2.0 * lt @ basis.matrices[k - 1]
-                                                - basis.matrices[k - 2])
+                residual = basis[k] - (2.0 * lt @ basis[k - 1] - basis[k - 2])
                 assert np.max(np.abs(residual)) < 1e-10
 
     def test_eigendecomposition_oracle(self):
@@ -236,7 +269,7 @@ class TestChebyshevBasis:
         scalars = [np.ones_like(vals), vals.copy()]
         for _ in range(2, 4):
             scalars.append(2.0 * vals * scalars[-1] - scalars[-2])
-        for mat, diag in zip(basis.matrices, scalars):
+        for mat, diag in zip(basis, scalars, strict=True):
             expected = vecs @ np.diag(diag) @ vecs.T
             np.testing.assert_allclose(mat, expected, atol=1e-8)
 
@@ -249,11 +282,11 @@ class TestChebyshevBasis:
 class TestBundle:
     def test_end_to_end_consistency(self):
         x = np.abs(np.random.default_rng(9).normal(5, 1, size=(6, 80)))
-        bundle = G.build_graph_bundle(x, p_sp=0.5, cheb_order=3)
+        bundle = G.build_graph_bundle(x, p_sp=0.5)
         np.testing.assert_allclose(bundle.a_stag, bundle.a_stag.T)
-        assert len(bundle.cheb.matrices) == 3
         np.testing.assert_allclose(
             bundle.a_stag,
             G.build_stag(bundle.stad, bundle.strg),
         )
-        np.testing.assert_allclose(bundle.laplacian.adjacency, bundle.a_stag)
+        np.testing.assert_array_equal(bundle.laplacian.matrix,
+                                      G.scaled_laplacian(bundle.a_stag).matrix)

@@ -7,7 +7,7 @@ from conftest import COMPOSED_OPS
 from wavetraffic import tensor as T
 from wavetraffic import training
 from wavetraffic.errors import DimensionError, ParameterError
-from wavetraffic.graph import build_graph_bundle
+from wavetraffic.graph import GraphBundle, build_graph_bundle, chebyshev_basis
 from wavetraffic.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from wavetraffic.tensor import Graph, Tensor
 
@@ -274,7 +274,7 @@ class TestAttentionProperties:
 
 
 class TestChebGraphConv:
-    def test_uniform_attention_matches_direct_sum(self, toy_model):
+    def test_uniform_attention_matches_direct_sum(self, toy_setup, toy_model):
         cfg = toy_model.cfg
         n = cfg.nodes
         # block 0 maps the input channels to the model channels
@@ -285,11 +285,21 @@ class TestChebGraphConv:
         expected = np.zeros((2, n, cfg.channels, cfg.window))
         theta = toy_model.graph.parameters["block0.gc.theta"].data
         theta = theta.reshape(cfg.cheb_order, cfg.in_channels, cfg.channels)
+        basis = chebyshev_basis(toy_setup[1].laplacian, cfg.cheb_order)
         for k in range(cfg.cheb_order):
-            gk = toy_model.bundle.cheb.matrices[k] * (1.0 / n)
+            gk = basis[k] * (1.0 / n)
             expected += np.einsum("ij,bjcm,cd->bidm", gk, x.data, theta[k])
         expected += toy_model.graph.parameters["block0.gc.bias"].data
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_model_builds_basis_of_its_order(self, toy_setup, order):
+        # one bundle serves every Chebyshev order the config asks for
+        cfg, bundle = toy_setup
+        model = Model(replace(cfg, cheb_order=order, width=order * 3, heads=3), bundle)
+        expected = chebyshev_basis(bundle.laplacian, order)
+        assert np.array_equal(model._cheb.data[:, 0], expected)
+        assert model.predict(_window_batch(model.cfg)).shape == (3, cfg.nodes, cfg.horizon)
 
     def test_head_count_validated(self, toy_model):
         cfg = toy_model.cfg
@@ -350,10 +360,11 @@ class TestGradientsFlowEverywhere:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, toy_model, tmp_path):
+    def test_round_trip_bit_exact(self, toy_setup, toy_model, tmp_path):
         path = tmp_path / "model.bin"
         state = toy_model.graph.state()
-        extras = {"norm_mean": np.arange(4.0), "a_stag": toy_model.bundle.a_stag}
+        a_stag = toy_setup[1].a_stag
+        extras = {"norm_mean": np.arange(4.0), "a_stag": a_stag}
         save_checkpoint(path, toy_model.cfg, state, extras)
         cfg2, state2, extras2 = load_checkpoint(path)
         assert cfg2 == toy_model.cfg
@@ -361,7 +372,7 @@ class TestCheckpoint:
         for name, arr in state.items():
             assert np.array_equal(state2[name], arr)
         assert np.array_equal(extras2["norm_mean"], np.arange(4.0))
-        assert np.array_equal(extras2["a_stag"], toy_model.bundle.a_stag)
+        assert np.array_equal(extras2["a_stag"], a_stag)
 
     def test_every_field_round_trips(self, tmp_path):
         default = ModelConfig(nodes=1)
@@ -395,5 +406,6 @@ class TestCheckpoint:
         cfg, bundle = toy_setup
         with pytest.raises(DimensionError):
             Model(replace(cfg, nodes=cfg.nodes + 1), bundle)
-        with pytest.raises(DimensionError):
-            Model(replace(cfg, cheb_order=2), bundle)
+        wide = build_graph_bundle(np.abs(np.random.default_rng(3).normal(5, 1, (5, 40))), 0.5)
+        with pytest.raises(DimensionError, match="Laplacian shape"):
+            Model(cfg, GraphBundle(bundle.stad, bundle.strg, bundle.a_stag, wide.laplacian))

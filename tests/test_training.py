@@ -1,5 +1,7 @@
 import gc
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +141,7 @@ def toy_setup_module():
     from wavetraffic.graph import build_graph_bundle
     from wavetraffic.model import ModelConfig
 
-    bundle = build_graph_bundle(raw, p_sp=0.5, cheb_order=3)
+    bundle = build_graph_bundle(raw, p_sp=0.5)
     cfg = ModelConfig(nodes=n, blocks=2, width=3, heads=3, level=2, channels=2)
     stats = tr.compute_stats(raw)
     windows = tr.make_windows(tr.normalize(raw, stats)[:, None, :])
@@ -245,3 +247,20 @@ class TestGraphLifetime:
         assert len(alive_at_entry) == 2 * (3 + 1)  # three steps and one validation batch
         for entry, alive in enumerate(alive_at_entry):
             assert not any(alive), f"forward call {entry} entered with an earlier graph alive"
+
+
+@pytest.mark.parametrize("extra_setting", ["", ", cheb_order=2"],
+                         ids=["as_written", "cheb_order_2"])
+def test_readme_library_quick_start_runs(extra_setting):
+    # the documented example runs against the current API, one epoch instead of 30;
+    # the graph bundle serves any Chebyshev order the config sets
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Quick start \(library\)\n+```python\n(.*?)```", readme, re.S).group(1)
+    assert block.count("epochs=30") == 1 and block.count("channels=4)") == 1
+    block = block.replace("epochs=30", "epochs=1")
+    block = block.replace("channels=4)", f"channels=4{extra_setting})")
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["model"].cfg.cheb_order == (2 if extra_setting else 3)
+    assert len(namespace["result"].log) == 1
+    assert np.isfinite(namespace["result"].log[0]["val_loss"])
