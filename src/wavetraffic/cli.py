@@ -242,10 +242,17 @@ def _model_from_checkpoint(path):
     bad = np.count_nonzero(~(np.isfinite(std) & (std > 0)))
     if bad:
         raise DataError(f"{path}: extra/norm_std has {bad} non-finite or non-positive entries")
+    mask = extras["strg_mask"]
+    bad = np.count_nonzero((mask != 0) & (mask != 1))
+    if bad:
+        raise DataError(f"{path}: extra/strg_mask has {bad} entries other than 0 and 1")
     stats = training.NormalizationStats(mean=extras["norm_mean"], std=std)
     a_stag = extras["a_stag"]
-    bundle = GraphBundle(StadMatrix(extras["a_stad"]), StrgMask(extras["strg_mask"]), a_stag,
-                         scaled_laplacian(a_stag))
+    try:
+        lap = scaled_laplacian(a_stag)
+    except WavetrafficError as exc:
+        raise type(exc)(f"{path}: extra/a_stag: {exc}") from None
+    bundle = GraphBundle(StadMatrix(extras["a_stad"]), StrgMask(mask), a_stag, lap)
     model = Model(cfg, bundle)
     model.graph.load_state(state)
     return model, stats
@@ -296,8 +303,8 @@ def _load_forecast_rows(path):
 def _cmd_conformal(args) -> int:
     y_cal, pred_cal = _load_forecast_rows(args.calibration)
     y_test, pred_test = _load_forecast_rows(args.test)
-    lo, hi, _cov = cp.calibrate_stream(y_cal, pred_cal, y_test, pred_test,
-                                       window=args.alpha, beta=args.beta)
+    lo, hi = cp.calibrate_stream(y_cal, pred_cal, y_test, pred_test,
+                                 window=args.alpha, beta=args.beta)
     data_io.save_forecasts(args.out, y_test, pred_test, intervals=(lo, hi))
     for step in range(y_test.shape[2]):
         cov = cp.empirical_coverage(lo[:, :, step], hi[:, :, step], y_test[:, :, step])

@@ -8,19 +8,12 @@ quantile of past scores times the current uncertainty scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError
 
-__all__ = [
-    "weighted_quantile",
-    "interval",
-    "empirical_coverage",
-    "ConformalCalibrator",
-    "calibrate_stream",
-]
+__all__ = ["weighted_quantile", "empirical_coverage", "calibrate_stream"]
 
 _XI_FLOOR = 1e-8
 
@@ -29,8 +22,7 @@ def weighted_quantile(scores, beta: float):
     """Windowed conformal quantile along the last axis of ``scores``: the
     ceil((1-beta)(n+1))-th order statistic, +inf when that rank exceeds n.
 
-    A 1-D window gives a float; a ``(streams, n)`` window gives one value
-    per row.
+    A ``(streams, n)`` window gives one value per row.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
@@ -40,21 +32,8 @@ def weighted_quantile(scores, beta: float):
     n = scores.shape[-1]
     rank = math.ceil((1.0 - beta) * (n + 1))
     if rank > n:
-        q = np.full(scores.shape[:-1], math.inf)
-    else:
-        q = np.partition(scores, rank - 1, axis=-1)[..., rank - 1]
-    return float(q) if scores.ndim == 1 else q
-
-
-def interval(pred, xi, cq):
-    """Symmetric band pred +/- cq * xi."""
-    pred = np.asarray(pred, dtype=np.float64)
-    xi = np.maximum(np.asarray(xi, dtype=np.float64), _XI_FLOOR)
-    cq = np.asarray(cq, dtype=np.float64)
-    if np.any(cq < 0):
-        raise ParameterError("interval: quantile must be nonnegative")
-    half = cq * xi
-    return pred - half, pred + half
+        return np.full(scores.shape[:-1], math.inf)
+    return np.partition(scores, rank - 1, axis=-1)[..., rank - 1]
 
 
 def empirical_coverage(lo, hi, y) -> float:
@@ -66,63 +45,15 @@ def empirical_coverage(lo, hi, y) -> float:
     return float(np.mean((y >= lo) & (y <= hi)))
 
 
-@dataclass
-class ConformalCalibrator:
-    """Sequential score window for one forecast stream.
-
-    Seed it with calibration-split residuals, then alternate
-    ``bounds`` / ``update`` in time order over the test stream.
-    """
-
-    window: int = 288
-    beta: float = 0.1
-    scores: list = field(default_factory=list)
-    abs_residuals: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ParameterError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.beta < 1.0:
-            raise ParameterError(f"beta must be in (0, 1), got {self.beta}")
-
-    def seed(self, y_cal, pred_cal):
-        y_cal = np.asarray(y_cal, dtype=np.float64)
-        pred_cal = np.asarray(pred_cal, dtype=np.float64)
-        if y_cal.shape != pred_cal.shape:
-            raise DimensionError("seed: calibration arrays misaligned")
-        for y, p in zip(y_cal, pred_cal):
-            self.update(y, p)
-
-    def _xi(self) -> float:
-        recent = self.abs_residuals[-self.window :]
-        if not recent:
-            raise ParameterError("calibrator has no residuals yet; seed it first")
-        return max(float(np.mean(recent)), _XI_FLOOR)
-
-    def bounds(self, pred: float):
-        """(lo, hi) for the next forecast given the current window."""
-        xi = self._xi()
-        cq = weighted_quantile(self.scores[-self.window :], self.beta)
-        lo, hi = interval(pred, xi, cq if math.isfinite(cq) else 0.0)
-        if math.isinf(cq):
-            return -math.inf, math.inf
-        return float(lo), float(hi)
-
-    def update(self, y: float, pred: float):
-        resid = abs(float(y) - float(pred))
-        # first observation has no past scale; its score carries no information
-        self.scores.append(resid / self._xi() if self.abs_residuals else 0.0)
-        self.abs_residuals.append(resid)
-
-
 def calibrate_stream(y_cal, pred_cal, y_test, pred_test,
                      window: int = 288, beta: float = 0.1):
-    """Band one stream, or many that share a time index; returns (lo, hi, coverage).
+    """Band one stream, or many that share a time index; returns (lo, hi).
 
     Arrays are ``(T,)`` for one stream or ``(T, *streams)`` for many, the
     calibration and test arrays agreeing on ``streams``. ``lo`` and ``hi``
-    have the shape of ``y_test``; coverage is over all of it. Each stream
-    gets the bands :class:`ConformalCalibrator` gives it, bit for bit.
+    have the shape of ``y_test``. Each stream gets, bit for bit, the bands
+    of a calibrator fed that stream one observation at a time (the
+    per-stream reference in ``tests/conftest.py``).
 
     Calibration residuals seed the score window; each test origin *t*
     first emits an interval, then folds in its realized residual before
@@ -165,8 +96,7 @@ def calibrate_stream(y_cal, pred_cal, y_test, pred_test,
     lo = np.empty((len(resid), n_test))
     hi = np.empty_like(lo)
     for t, k in enumerate(range(n_cal, n_cal + n_test)):
-        cq = weighted_quantile(scores[:, max(0, k - window) : k], beta)
-        lo[:, t], hi[:, t] = interval(pred[:, k], xi[:, k], cq)
-    lo = lo.T.reshape(y_test.shape)
-    hi = hi.T.reshape(y_test.shape)
-    return lo, hi, empirical_coverage(lo, hi, y_test)
+        half = weighted_quantile(scores[:, max(0, k - window) : k], beta) * xi[:, k]
+        lo[:, t] = pred[:, k] - half
+        hi[:, t] = pred[:, k] + half
+    return lo.T.reshape(y_test.shape), hi.T.reshape(y_test.shape)

@@ -134,6 +134,9 @@ def scaled_laplacian(a_stag) -> ScaledLaplacian:
     a = np.asarray(a_stag, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"scaled_laplacian: need a square matrix, got {a.shape}")
+    bad = np.count_nonzero(~np.isfinite(a))
+    if bad:
+        raise ParameterError(f"scaled_laplacian: adjacency has {bad} non-finite entries")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     if asym > 1e-9:
         raise DimensionError(f"scaled_laplacian: input asymmetric by {asym:.3g}")

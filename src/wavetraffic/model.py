@@ -64,6 +64,11 @@ class ModelConfig:
             raise ParameterError(
                 f"width {self.width} not divisible by head count {self.heads}"
             )
+        if self.width < self.cheb_order:
+            raise ParameterError(
+                f"width {self.width} < cheb_order {self.cheb_order} leaves the "
+                f"spatial attention heads (width // cheb_order) empty"
+            )
         taps = (2 ** self.level - 1) * (len(wavelet.get_filter(self.filter_name)) - 1) + 1
         if taps > self.window:
             raise ParameterError(

@@ -105,18 +105,13 @@ def _check_input(u: np.ndarray, filt: WaveletFilter, level: int):
 
 
 def _filter_step(v: np.ndarray, taps: np.ndarray, gap: int) -> np.ndarray:
-    """Circular filtering: out[t] = sum_l taps[l] * v[(t - gap*l) mod M]."""
+    """Circular filtering: out[t] = sum_l taps[l] * v[(t - gap*l) mod M].
+
+    A negative ``gap`` gives the transpose (circular correlation).
+    """
     out = np.zeros_like(v)
     for l, tap in enumerate(taps):
         out += tap * np.roll(v, gap * l, axis=-1)
-    return out
-
-
-def _unfilter_step(w: np.ndarray, taps: np.ndarray, gap: int) -> np.ndarray:
-    """Transpose of :func:`_filter_step` (circular correlation)."""
-    out = np.zeros_like(w)
-    for l, tap in enumerate(taps):
-        out += tap * np.roll(w, -gap * l, axis=-1)
     return out
 
 
@@ -167,9 +162,9 @@ def mra(u, filt="haar", level: int = 2) -> list[np.ndarray]:
     h = filt.wavelet / _SQRT2
 
     def _ascend(series, start_level, first_taps):
-        out = _unfilter_step(series, first_taps, 2 ** (start_level - 1))
+        out = _filter_step(series, first_taps, -(2 ** (start_level - 1)))
         for j in range(start_level - 1, 0, -1):
-            out = _unfilter_step(out, g, 2 ** (j - 1))
+            out = _filter_step(out, g, -(2 ** (j - 1)))
         return out
 
     details = [_ascend(w, j, h) for j, w in enumerate(coeffs, start=1)]

@@ -1,6 +1,10 @@
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
+from wavetraffic import conformal as cf
 from wavetraffic import tensor as T
 from wavetraffic.graph import build_graph_bundle
 from wavetraffic.model import Model, ModelConfig
@@ -167,6 +171,62 @@ COMPOSED_OPS = {
     "softmax_matmul": composed_softmax_matmul,
     "gated_tanh_pool": composed_gated_tanh_pool,
 }
+
+
+# The sequential conformal rule one stream at a time, kept as the reference
+# that ``conformal.calibrate_stream`` must match bit for bit on every stream.
+
+
+@dataclass
+class ConformalCalibrator:
+    """Sequential score window for one forecast stream.
+
+    Seed it with calibration-split residuals, then alternate
+    ``bounds`` / ``update`` in time order over the test stream.
+    """
+
+    window: int = 288
+    beta: float = 0.1
+    scores: list = field(default_factory=list)
+    abs_residuals: list = field(default_factory=list)
+
+    XI_FLOOR = 1e-8
+
+    def seed(self, y_cal, pred_cal):
+        for y, p in zip(y_cal, pred_cal):
+            self.update(y, p)
+
+    def _xi(self) -> float:
+        return max(float(np.mean(self.abs_residuals[-self.window :])), self.XI_FLOOR)
+
+    def bounds(self, pred: float):
+        """(lo, hi) for the next forecast given the current window."""
+        xi = self._xi()
+        cq = float(cf.weighted_quantile(self.scores[-self.window :], self.beta))
+        if math.isinf(cq):
+            return -math.inf, math.inf
+        half = cq * xi
+        return float(pred - half), float(pred + half)
+
+    def update(self, y: float, pred: float):
+        resid = abs(float(y) - float(pred))
+        # first observation has no past scale; its score carries no information
+        self.scores.append(resid / self._xi() if self.abs_residuals else 0.0)
+        self.abs_residuals.append(resid)
+
+
+def per_stream_bands(y_cal, p_cal, y_test, p_test, window, beta):
+    """(lo, hi) shaped like ``y_test``: one calibrator per stream, bounds then update."""
+    lo = np.empty_like(y_test)
+    hi = np.empty_like(y_test)
+    for ix in np.ndindex(y_test.shape[1:]):
+        stream = (slice(None),) + ix
+        cal = ConformalCalibrator(window=window, beta=beta)
+        cal.seed(y_cal[stream], p_cal[stream])
+        for t in range(len(y_test)):
+            lo[(t,) + ix], hi[(t,) + ix] = cal.bounds(p_test[(t,) + ix])
+            cal.update(y_test[(t,) + ix], p_test[(t,) + ix])
+    return lo, hi
 
 
 @pytest.fixture(scope="session")

@@ -269,7 +269,7 @@ def test_criterion_09_conformal_coverage(synthetic_runs):
     covered, total = 0, 0
     for node in range(model.cfg.nodes):
         for step in range(model.cfg.horizon):
-            lo, hi, _ = cp.calibrate_stream(
+            lo, hi = cp.calibrate_stream(
                 yv[:, node, step], pv[:, node, step],
                 yt[:, node, step], pt[:, node, step],
                 window=288, beta=0.1,

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import per_stream_bands
 from wavetraffic import conformal as cp
 from wavetraffic import cli, data_io, training, wavelet
 from wavetraffic.cli import build_parser, main
@@ -199,22 +200,32 @@ class TestConformalEvaluateMcb:
                      "--alpha", "60", "--beta", "0.1", "--out", str(out)]) == 0
         y_cal, p_cal, _ = data_io.load_forecasts(forecast_pair / "val.csv")
         y, pred, _ = data_io.load_forecasts(forecast_pair / "test.csv")
+        lo, hi = per_stream_bands(y_cal, p_cal, y, pred, window=60, beta=0.1)
         lines = ["t,node,step,y,pred,lo,hi,covered"]
-        bands = {}
-        for node in range(y.shape[1]):
-            for step in range(y.shape[2]):
-                cal = cp.ConformalCalibrator(window=60, beta=0.1)
-                cal.seed(y_cal[:, node, step], p_cal[:, node, step])
-                for t in range(len(y)):
-                    bands[t, node, step] = cal.bounds(pred[t, node, step])
-                    cal.update(y[t, node, step], pred[t, node, step])
-        for (t, node, step), (lo, hi) in sorted(bands.items()):
-            yy = y[t, node, step]
-            cells = [yy, pred[t, node, step], lo, hi]
+        for t, node, step in np.ndindex(y.shape):
+            ix = t, node, step
+            cells = [y[ix], pred[ix], lo[ix], hi[ix]]
             lines.append(",".join([str(t), str(node), str(step + 1)]
                                   + [data_io.fmt(v) for v in cells]
-                                  + [str(int(lo <= yy <= hi))]))
+                                  + [str(int(lo[ix] <= y[ix] <= hi[ix]))]))
         assert out.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+    def test_conformal_run_calls_every_exported_name(self, forecast_pair, tmp_path,
+                                                     monkeypatch):
+        calls = dict.fromkeys(cp.__all__, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in cp.__all__:
+            monkeypatch.setattr(cp, name, counted(name, getattr(cp, name)))
+        assert main(["conformal", "--calibration", str(forecast_pair / "val.csv"),
+                     "--test", str(forecast_pair / "test.csv"),
+                     "--out", str(tmp_path / "bands.csv")]) == 0
+        assert [name for name, n in calls.items() if n == 0] == []
 
     def test_load_forecasts_reads_bands(self, forecast_pair, tmp_path):
         out = tmp_path / "bands.csv"
@@ -223,7 +234,7 @@ class TestConformalEvaluateMcb:
                      "--alpha", "60", "--beta", "0.1", "--out", str(out)]) == 0
         y_cal, p_cal, _ = data_io.load_forecasts(forecast_pair / "val.csv")
         y, pred, _ = data_io.load_forecasts(forecast_pair / "test.csv")
-        lo, hi, _ = cp.calibrate_stream(y_cal, p_cal, y, pred, window=60, beta=0.1)
+        lo, hi = cp.calibrate_stream(y_cal, p_cal, y, pred, window=60, beta=0.1)
         y2, pred2, intervals = data_io.load_forecasts(out)
         np.testing.assert_array_equal(y2, y)
         np.testing.assert_array_equal(pred2, pred)
@@ -423,6 +434,17 @@ class TestMalformedInput:
                              *flags], capsys, f"invalid training configuration: {message}")
         assert not (tmp_path / "run").exists()
 
+    def test_width_below_cheb_order(self, dataset, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "fit", no_training)
+        data_path, _ = dataset
+        self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path / "run"),
+                             *_FAST_TRAIN, "--heads", "3", "--cheb-order", "4"], capsys,
+                            "width 3 < cheb_order 4")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command, window", [
         ("build-graph", "-300"), ("build-graph", "0"), ("train", "1"), ("sweep-level", "0"),
     ])
@@ -461,6 +483,12 @@ class TestMalformedInput:
         ("norm_std_zero", "extra/norm_std has 4 non-finite or non-positive entries"),
         ("norm_std_nan", "extra/norm_std has 1 non-finite or non-positive entries"),
         ("norm_std_negative_and_inf", "extra/norm_std has 2 non-finite or non-positive entries"),
+        ("strg_mask_all_nan", "extra/strg_mask has 16 entries other than 0 and 1"),
+        ("strg_mask_fractional", "extra/strg_mask has 4 entries other than 0 and 1"),
+        ("a_stag_nan", "extra/a_stag: scaled_laplacian: adjacency has 3 non-finite entries"),
+        ("a_stag_asymmetric", "extra/a_stag: scaled_laplacian: input asymmetric by 0.5"),
+        ("a_stag_negative",
+         "extra/a_stag: scaled_laplacian: adjacency entries must be nonnegative"),
     ])
     def test_forecast_malformed_checkpoint(self, trained, dataset, tmp_path, capsys,
                                            fault, message):
@@ -494,6 +522,11 @@ class TestMalformedInput:
             "norm_std_zero": ("norm_std", np.zeros(4)),
             "norm_std_nan": ("norm_std", np.array([1.0, np.nan, 1.0, 1.0])),
             "norm_std_negative_and_inf": ("norm_std", np.array([1.0, -1.0, 1.0, np.inf])),
+            "strg_mask_all_nan": ("strg_mask", np.full((4, 4), np.nan)),
+            "strg_mask_fractional": ("strg_mask", np.eye(4) * 0.5),
+            "a_stag_nan": ("a_stag", np.where(np.eye(4, k=1) == 1, np.nan, 0.0)),
+            "a_stag_asymmetric": ("a_stag", np.eye(4, k=1) * 0.5),
+            "a_stag_negative": ("a_stag", np.ones((4, 4)) - 2 * np.eye(4)),
         }
         bad = tmp_path / "bad.bin"
         if fault in bad_extras:

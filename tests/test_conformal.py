@@ -1,10 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import per_stream_bands
 from wavetraffic import conformal as cf
 from wavetraffic.errors import DataError, DimensionError, ParameterError
 
@@ -60,16 +63,7 @@ class TestWeightedQuantile:
             cf.weighted_quantile([1.0], 1.5)
 
 
-class TestIntervalAndCoverage:
-    def test_band_shape(self):
-        lo, hi = cf.interval([10.0, 20.0], [1.0, 2.0], 3.0)
-        np.testing.assert_allclose(lo, [7.0, 14.0])
-        np.testing.assert_allclose(hi, [13.0, 26.0])
-
-    def test_negative_quantile_rejected(self):
-        with pytest.raises(ParameterError):
-            cf.interval([0.0], [1.0], -1.0)
-
+class TestCoverage:
     def test_coverage_counts_inclusively(self):
         cov = cf.empirical_coverage([0.0, 0.0], [1.0, 1.0], [1.0, 2.0])
         assert cov == 0.5
@@ -77,44 +71,6 @@ class TestIntervalAndCoverage:
     def test_coverage_shape_check(self):
         with pytest.raises(DimensionError):
             cf.empirical_coverage([0.0], [1.0, 2.0], [0.5])
-
-
-class TestCalibrator:
-    def test_requires_seeding(self):
-        cal = cf.ConformalCalibrator(window=10, beta=0.1)
-        with pytest.raises(ParameterError):
-            cal.bounds(0.0)
-
-    def test_infinite_band_when_window_too_small(self):
-        cal = cf.ConformalCalibrator(window=4, beta=0.1)
-        cal.seed(np.ones(4), np.zeros(4))
-        lo, hi = cal.bounds(5.0)
-        assert lo == -math.inf and hi == math.inf
-
-    def test_band_contains_prediction(self):
-        rng = np.random.default_rng(1)
-        cal = cf.ConformalCalibrator(window=50, beta=0.1)
-        y = rng.normal(10.0, 1.0, size=100)
-        cal.seed(y, y + rng.normal(0, 0.5, size=100))
-        lo, hi = cal.bounds(10.0)
-        assert lo <= 10.0 <= hi
-        assert math.isfinite(lo) and math.isfinite(hi)
-
-    def test_window_limits_history(self):
-        cal = cf.ConformalCalibrator(window=5, beta=0.4)
-        cal.seed(np.ones(100) * 7.0, np.zeros(100))
-        assert len(cal.scores) == 100
-        # only the last 5 scores/residuals may influence the band
-        ref_lo, ref_hi = cal.bounds(0.0)
-        cal.scores[:-5] = [1e9] * (len(cal.scores) - 5)
-        cal.abs_residuals[:-5] = [1e9] * (len(cal.abs_residuals) - 5)
-        assert cal.bounds(0.0) == (ref_lo, ref_hi)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            cf.ConformalCalibrator(window=0)
-        with pytest.raises(ParameterError):
-            cf.ConformalCalibrator(beta=0.0)
 
 
 class TestCalibrateStream:
@@ -126,9 +82,8 @@ class TestCalibrateStream:
 
     def test_coverage_near_nominal(self):
         y_cal, p_cal, y_test, p_test = self._stream(500, 3000)
-        lo, hi, cov = cf.calibrate_stream(y_cal, p_cal, y_test, p_test,
-                                          window=288, beta=0.1)
-        assert 0.85 <= cov <= 0.95
+        lo, hi = cf.calibrate_stream(y_cal, p_cal, y_test, p_test, window=288, beta=0.1)
+        assert 0.85 <= cf.empirical_coverage(lo, hi, y_test) <= 0.95
         assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
 
     def test_adapts_to_variance_shift(self):
@@ -139,11 +94,11 @@ class TestCalibrateStream:
             rng.normal(0, 0.5, size=1000), rng.normal(0, 2.0, size=1000)
         ])
         pred = y + noise
-        lo, hi, cov = cf.calibrate_stream(y[:500], pred[:500], y[500:], pred[500:],
-                                          window=200, beta=0.1)
+        lo, hi = cf.calibrate_stream(y[:500], pred[:500], y[500:], pred[500:],
+                                     window=200, beta=0.1)
         widths = hi - lo
         assert widths[1200:].mean() > 2.0 * widths[:300].mean()
-        assert cov > 0.8
+        assert cf.empirical_coverage(lo, hi, y[500:]) > 0.8
 
     def test_interval_precedes_update(self):
         # an outlier may only influence intervals from the next step on
@@ -161,6 +116,43 @@ class TestCalibrateStream:
         np.testing.assert_array_equal(with_outlier[0][:2], without[0][:2])
         np.testing.assert_array_equal(with_outlier[1][:2], without[1][:2])
         assert with_outlier[1][2] - with_outlier[0][2] > without[1][2] - without[0][2]
+
+    def test_infinite_band_when_window_too_small(self):
+        # four scores never reach the rank ceil(0.9 * 5) = 5 of a 4-score window
+        lo, hi = cf.calibrate_stream(np.ones(4), np.zeros(4), np.ones(3), np.full(3, 5.0),
+                                     window=4, beta=0.1)
+        assert np.isneginf(lo).all() and np.isposinf(hi).all()
+
+    def test_band_contains_prediction(self):
+        rng = np.random.default_rng(1)
+        y = rng.normal(10.0, 1.0, size=100)
+        lo, hi = cf.calibrate_stream(y, y + rng.normal(0, 0.5, size=100), [10.0], [10.0],
+                                     window=50, beta=0.1)
+        assert lo[0] <= 10.0 <= hi[0]
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+
+    def test_window_limits_history(self):
+        # the first band reads the last `window` scores, each scaled by the
+        # `window` residuals before it: older calibration points cannot move it
+        window = 5
+        y_cal, p_cal, y_test, p_test = self._stream(100, 3)
+        ref = cf.calibrate_stream(y_cal, p_cal, y_test, p_test, window=window, beta=0.4)
+        y_far = y_cal.copy()
+        y_far[: -2 * window] += 1e9
+        moved = cf.calibrate_stream(y_far, p_cal, y_test, p_test, window=window, beta=0.4)
+        assert moved[0][0] == ref[0][0] and moved[1][0] == ref[1][0]
+        y_far[-window - 1] += 1e9  # a residual that scales the window's scores moves it
+        moved = cf.calibrate_stream(y_far, p_cal, y_test, p_test, window=window, beta=0.4)
+        assert (moved[0][0], moved[1][0]) != (ref[0][0], ref[1][0])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(window=0), "window must be >= 1, got 0"),
+        (dict(beta=0.0), r"beta must be in \(0, 1\), got 0.0"),
+        (dict(beta=1.0), r"beta must be in \(0, 1\), got 1.0"),
+    ], ids=["window_0", "beta_0", "beta_1"])
+    def test_parameter_validation(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            cf.calibrate_stream(*self._stream(20, 5), **kwargs)
 
     def test_misaligned_arrays(self):
         with pytest.raises(DimensionError):
@@ -188,22 +180,8 @@ class TestCalibrateStream:
                                 np.ones((5, 3, 4)), np.ones((5, 3, 4)))
 
 
-def _per_stream_bands(y_cal, p_cal, y_test, p_test, **kwargs):
-    """Reference: one ConformalCalibrator per stream, bounds then update in time order."""
-    lo = np.empty_like(y_test)
-    hi = np.empty_like(y_test)
-    for ix in np.ndindex(y_test.shape[1:]):
-        stream = (slice(None),) + ix
-        cal = cf.ConformalCalibrator(**kwargs)
-        cal.seed(y_cal[stream], p_cal[stream])
-        for t in range(len(y_test)):
-            lo[(t,) + ix], hi[(t,) + ix] = cal.bounds(p_test[(t,) + ix])
-            cal.update(y_test[(t,) + ix], p_test[(t,) + ix])
-    return lo, hi
-
-
 class TestBatchedEquivalence:
-    """Banding all streams at once reproduces the per-stream calibrator bit for bit."""
+    """Banding all streams at once reproduces the per-stream reference bit for bit."""
 
     CASES = {
         # calibration shorter than the window: windows still filling
@@ -234,12 +212,30 @@ class TestBatchedEquivalence:
         pred = y + scale * rng.standard_t(3, size=shape)
         n = spec["n_cal"]
         kwargs = dict(window=spec["window"], beta=beta)
-        lo, hi, cov = cf.calibrate_stream(y[:n], pred[:n], y[n:], pred[n:], **kwargs)
-        ref_lo, ref_hi = _per_stream_bands(y[:n], pred[:n], y[n:], pred[n:], **kwargs)
+        lo, hi = cf.calibrate_stream(y[:n], pred[:n], y[n:], pred[n:], **kwargs)
+        ref_lo, ref_hi = per_stream_bands(y[:n], pred[:n], y[n:], pred[n:], **kwargs)
         assert lo.shape == hi.shape == y[n:].shape
         assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
-        assert cov == cf.empirical_coverage(ref_lo, ref_hi, y[n:])
         if case == "infinite_bands":
             assert np.isinf(lo[0]).all() and np.isfinite(lo[-1]).all()
         if case == "window_of_one":
             assert np.isinf(lo).all() and np.isinf(hi).all()
+
+
+# the per-stream calibrator and its band helper, now the reference in tests/conftest.py
+_REMOVED_NAMES = ("ConformalCalibrator", "interval")
+
+
+class TestOneBandingPath:
+    def test_removed_names_are_gone(self):
+        assert cf.__all__ == ["weighted_quantile", "empirical_coverage", "calibrate_stream"]
+        for name in _REMOVED_NAMES:
+            assert not hasattr(cf, name), name
+
+    def test_readme_points_removed_names_at_the_reference(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        # paragraphs, list items and table rows
+        for part in re.split(r"\n\n|\n(?=[|-] )", readme):
+            spans = " ".join(re.findall(r"`([^`]*)`", part))
+            if re.search(rf"\b({'|'.join(_REMOVED_NAMES)})\b", spans):
+                assert "tests/conftest.py" in part, part

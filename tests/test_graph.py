@@ -232,6 +232,13 @@ class TestScaledLaplacian:
         with pytest.raises(ParameterError):
             G.scaled_laplacian(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN passes the symmetry and sign checks and used to reach eigvalsh
+        a = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ParameterError, match="adjacency has 2 non-finite entries"):
+            G.scaled_laplacian(a)
+
 
 class TestChebyshevBasis:
     def test_first_two_terms(self):

@@ -33,6 +33,12 @@ class TestModelConfig:
         with pytest.raises(ParameterError):
             ModelConfig(nodes=4, width=32, heads=3)
 
+    def test_rejects_width_below_cheb_order(self):
+        # spatial head width width // cheb_order would be 0, its logit scale 1/sqrt(0)
+        ModelConfig(nodes=4, width=3, heads=3, cheb_order=3)
+        with pytest.raises(ParameterError, match="width 3 < cheb_order 4"):
+            ModelConfig(nodes=4, width=3, heads=3, cheb_order=4)
+
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ParameterError):
             ModelConfig(nodes=0)
