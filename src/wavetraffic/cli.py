@@ -239,9 +239,9 @@ def _model_from_checkpoint(path):
             raise DataError(f"{path}: extra/{name} has shape {extras[name].shape}, "
                             f"expected {shape} for {n} nodes")
     std = extras["norm_std"]
-    bad = np.count_nonzero(~(np.isfinite(std) & (std > 0)))
+    bad = np.count_nonzero(std <= 0)
     if bad:
-        raise DataError(f"{path}: extra/norm_std has {bad} non-finite or non-positive entries")
+        raise DataError(f"{path}: extra/norm_std has {bad} non-positive entries")
     mask = extras["strg_mask"]
     bad = np.count_nonzero((mask != 0) & (mask != 1))
     if bad:
@@ -301,6 +301,10 @@ def _load_forecast_rows(path):
 
 
 def _cmd_conformal(args) -> int:
+    shortest = cp.min_window(args.beta)
+    if args.alpha < shortest:
+        raise ParameterError(f"--alpha {args.alpha} is below {shortest}, the fewest scores "
+                             f"that can give a finite band at --beta {args.beta}")
     y_cal, pred_cal = _load_forecast_rows(args.calibration)
     y_test, pred_test = _load_forecast_rows(args.test)
     lo, hi = cp.calibrate_stream(y_cal, pred_cal, y_test, pred_test,

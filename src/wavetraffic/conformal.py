@@ -13,9 +13,13 @@ import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError
 
-__all__ = ["weighted_quantile", "empirical_coverage", "calibrate_stream"]
+__all__ = ["weighted_quantile", "min_window", "empirical_coverage", "calibrate_stream"]
 
 _XI_FLOOR = 1e-8
+
+
+def _rank(n: int, beta: float) -> int:
+    return math.ceil((1.0 - beta) * (n + 1))
 
 
 def weighted_quantile(scores, beta: float):
@@ -30,10 +34,27 @@ def weighted_quantile(scores, beta: float):
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"weighted_quantile: beta must be in (0, 1), got {beta}")
     n = scores.shape[-1]
-    rank = math.ceil((1.0 - beta) * (n + 1))
+    rank = _rank(n, beta)
     if rank > n:
         return np.full(scores.shape[:-1], math.inf)
     return np.partition(scores, rank - 1, axis=-1)[..., rank - 1]
+
+
+def min_window(beta: float) -> int:
+    """The fewest scores whose window can give a finite band at ``beta``:
+    the least n with ceil((1-beta)(n+1)) <= n, the rank of
+    :func:`weighted_quantile`. Shorter windows band everything +-inf."""
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(f"beta must be in (0, 1), got {beta}")
+    # the rank minus n never grows with n, and in float64 it is <= 0 at 2**53
+    lo, hi = 0, 2 ** 53
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rank(mid, beta) <= mid:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def empirical_coverage(lo, hi, y) -> float:

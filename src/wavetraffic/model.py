@@ -403,8 +403,9 @@ def load_checkpoint(path):
 
     A file that is not a zip archive, a missing or corrupt entry, a config
     that :func:`parse_settings` rejects or that lacks ``nodes``, a manifest
-    shape that is not integers and a tensor whose byte length disagrees
-    with its manifest shape each raise ``DataError``.
+    shape that is not integers, a tensor whose byte length disagrees
+    with its manifest shape and a tensor (a parameter or an extra) that
+    holds NaN or inf each raise ``DataError``.
     """
     try:
         zf = zipfile.ZipFile(path, "r")
@@ -437,6 +438,9 @@ def load_checkpoint(path):
                 raise DataError(f"{path}: tensor {name!r} has {len(raw)} bytes, "
                                 f"its manifest shape {shape} needs {8 * math.prod(shape)}")
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            bad = arr.size - np.count_nonzero(np.isfinite(arr))
+            if bad:
+                raise DataError(f"{path}: tensor {name!r} has {bad} non-finite entries")
             if name.startswith("extra/"):
                 extras[name[len("extra/"):]] = arr.copy()
             else:

@@ -2,9 +2,13 @@
 
 Every operation builds a dynamic graph of ``Tensor`` nodes; calling
 ``Graph.backward`` on a scalar loss walks the graph once in reverse
-topological order and accumulates gradients into every node that
-requires them. Inside ``no_grad()`` operations record no graph. All
-arithmetic is float64 and fully deterministic.
+topological order and runs each node's backward closure, which adds the
+node's gradient into its parents. An intermediate node's gradient is
+released as soon as its closure has handed it on; leaves (parameters and
+tensors made with ``requires_grad=True``) keep theirs. The recorded
+nodes and their data live until the caller drops the loss. Inside
+``no_grad()`` operations record no graph. All arithmetic is float64 and
+fully deterministic.
 """
 
 from __future__ import annotations
@@ -546,6 +550,15 @@ class Graph:
         self.gradients = {}
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
+        """Run every closure between ``loss`` and the leaves, each once, in
+        reverse topological order; returns the gradient store.
+
+        Each closure's node gives up its gradient right after the closure
+        has run: no closure reads it again, so at most the gradients of the
+        nodes still waiting for their closure are alive at once. Leaves have
+        no closure, so they stay out of the order and keep their gradients,
+        which accumulate over calls until ``zero_grad``.
+        """
         if loss.size != 1:
             raise DimensionError(f"backward: loss must be scalar, got shape {loss.shape}")
         topo: list[Tensor] = []
@@ -561,12 +574,13 @@ class Graph:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         loss.grad = np.ones_like(loss.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
         self.gradients = {
             name: (p.grad if p.grad is not None else np.zeros_like(p.data))
             for name, p in self.parameters.items()

@@ -141,10 +141,11 @@ def make_windows(x, horizon: int = 12):
         raise DimensionError(
             f"segment length {m} shorter than input+horizon = {total}"
         )
-    starts = range(m - total + 1)
-    inputs = np.stack([x[:, :, s : s + length] for s in starts])
-    targets = np.stack([x[:, 0, s + length : s + total] for s in starts])
-    return inputs, targets
+    view = np.lib.stride_tricks.sliding_window_view
+    inputs = view(x[..., : m - horizon], length, axis=-1)  # (N, c, W, L)
+    targets = view(x[:, 0, length:], horizon, axis=-1)  # (N, W, horizon)
+    return (np.ascontiguousarray(inputs.transpose(2, 0, 1, 3)),
+            np.ascontiguousarray(targets.transpose(1, 0, 2)))
 
 
 @dataclass

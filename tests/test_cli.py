@@ -459,6 +459,27 @@ class TestMalformedInput:
                             f"--stad-window must be at least 2, got {window}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", [18, 19])
+    def test_conformal_refuses_a_window_too_short_for_a_finite_band(
+            self, forecast_pair, tmp_path, capsys, alpha):
+        # at beta 0.05 the rank ceil(0.95 (n + 1)) first fits in n scores at n = 19
+        out = tmp_path / "bands.csv"
+        argv = ["conformal", "--calibration", str(forecast_pair / "val.csv"),
+                "--test", str(forecast_pair / "test.csv"),
+                "--alpha", str(alpha), "--beta", "0.05", "--out", str(out)]
+        if alpha == 19:
+            assert main(argv) == 0
+            _, _, (lo, hi) = data_io.load_forecasts(out)
+            assert np.isfinite(lo).all() and np.isfinite(hi).all()
+            return
+        message = ("--alpha 18 is below 19, the fewest scores that can give a finite band "
+                   "at --beta 0.05")
+        self._fails_cleanly(argv, capsys, message)
+        assert not out.exists()
+        # refused before any forecast file is read
+        argv[2] = str(tmp_path / "missing.csv")
+        self._fails_cleanly(argv, capsys, message)
+
     @pytest.mark.parametrize("fault, message", [
         ("not_zip", "not a checkpoint archive"),
         ("unknown_config_key", "checkpoint config: unknown key(s): dropout"),
@@ -480,15 +501,19 @@ class TestMalformedInput:
         ("strg_mask_flat", "extra/strg_mask has shape (16,), expected (4, 4)"),
         ("norm_mean_length_one", "extra/norm_mean has shape (1,), expected (4,)"),
         ("norm_std_length_three", "extra/norm_std has shape (3,), expected (4,)"),
-        ("norm_std_zero", "extra/norm_std has 4 non-finite or non-positive entries"),
-        ("norm_std_nan", "extra/norm_std has 1 non-finite or non-positive entries"),
-        ("norm_std_negative_and_inf", "extra/norm_std has 2 non-finite or non-positive entries"),
-        ("strg_mask_all_nan", "extra/strg_mask has 16 entries other than 0 and 1"),
+        ("norm_std_zero", "extra/norm_std has 4 non-positive entries"),
+        ("norm_std_negative", "extra/norm_std has 1 non-positive entries"),
+        ("norm_std_nan", "tensor 'extra/norm_std' has 1 non-finite entries"),
+        ("norm_std_negative_and_inf", "tensor 'extra/norm_std' has 1 non-finite entries"),
+        ("strg_mask_all_nan", "tensor 'extra/strg_mask' has 16 non-finite entries"),
         ("strg_mask_fractional", "extra/strg_mask has 4 entries other than 0 and 1"),
-        ("a_stag_nan", "extra/a_stag: scaled_laplacian: adjacency has 3 non-finite entries"),
+        ("a_stag_nan", "tensor 'extra/a_stag' has 3 non-finite entries"),
         ("a_stag_asymmetric", "extra/a_stag: scaled_laplacian: input asymmetric by 0.5"),
         ("a_stag_negative",
          "extra/a_stag: scaled_laplacian: adjacency entries must be nonnegative"),
+        ("norm_mean_nan", "tensor 'extra/norm_mean' has 1 non-finite entries"),
+        ("wq_nan", "tensor 'block0.wta.wq' has 1 non-finite entries"),
+        ("time_w_inf", "tensor 'pred.time_w' has 1 non-finite entries"),
     ])
     def test_forecast_malformed_checkpoint(self, trained, dataset, tmp_path, capsys,
                                            fault, message):
@@ -520,6 +545,7 @@ class TestMalformedInput:
             "norm_mean_length_one": ("norm_mean", np.zeros(1)),
             "norm_std_length_three": ("norm_std", np.ones(3)),
             "norm_std_zero": ("norm_std", np.zeros(4)),
+            "norm_std_negative": ("norm_std", np.array([1.0, -1.0, 1.0, 1.0])),
             "norm_std_nan": ("norm_std", np.array([1.0, np.nan, 1.0, 1.0])),
             "norm_std_negative_and_inf": ("norm_std", np.array([1.0, -1.0, 1.0, np.inf])),
             "strg_mask_all_nan": ("strg_mask", np.full((4, 4), np.nan)),
@@ -528,11 +554,25 @@ class TestMalformedInput:
             "a_stag_asymmetric": ("a_stag", np.eye(4, k=1) * 0.5),
             "a_stag_negative": ("a_stag", np.ones((4, 4)) - 2 * np.eye(4)),
         }
+        # the first entry of a parameter or an extra made nan or inf; a nan
+        # weight that ReLU zeroes gave finite but changed forecasts
+        poisoned = {
+            "norm_mean_nan": ("extra/norm_mean", np.nan),
+            "wq_nan": ("block0.wta.wq", np.nan),
+            "time_w_inf": ("pred.time_w", np.inf),
+        }
         bad = tmp_path / "bad.bin"
-        if fault in bad_extras:
+        if fault in bad_extras or fault in poisoned:
             cfg, state, extras = load_checkpoint(trained / "checkpoint.bin")
-            name, value = bad_extras[fault]
-            save_checkpoint(bad, cfg, state, {**extras, name: value})
+            if fault in poisoned:
+                name, value = poisoned[fault]
+                tensors, key = ((extras, name[len("extra/"):]) if name.startswith("extra/")
+                                else (state, name))
+                tensors[key].flat[0] = value
+            else:
+                name, value = bad_extras[fault]
+                extras = {**extras, name: value}
+            save_checkpoint(bad, cfg, state, extras)
         elif fault == "not_zip":
             bad.write_text("epoch,loss\n1,0.5\n")
         elif fault in ("bad_crc", "bad_deflate_stream"):

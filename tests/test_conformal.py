@@ -49,6 +49,24 @@ class TestWeightedQuantile:
             if below.size:
                 assert np.sum(arr <= below.max()) < math.ceil(needed)
 
+    @given(st.floats(1e-4, 0.999))
+    @settings(max_examples=100, deadline=None)
+    def test_min_window_is_the_shortest_with_a_finite_quantile(self, beta):
+        n = cf.min_window(beta)
+        assert cf.weighted_quantile(np.zeros(n), beta) < math.inf
+        if n > 1:
+            assert cf.weighted_quantile(np.zeros(n - 1), beta) == math.inf
+
+    @pytest.mark.parametrize("beta, n", [(0.05, 19), (0.1, 9), (0.5, 1), (1e-17, 2 ** 53)])
+    def test_min_window_values(self, beta, n):
+        # below about 1.1e-16, 1 - beta rounds to 1 and only float64's 2**53 fits the rank
+        assert cf.min_window(beta) == n
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.nan])
+    def test_min_window_rejects_beta(self, beta):
+        with pytest.raises(ParameterError):
+            cf.min_window(beta)
+
     @pytest.mark.parametrize("beta", [0.1, 0.5])
     @pytest.mark.parametrize("n", [1, 3, 40, 300])
     def test_rows_match_one_dimensional_calls(self, n, beta):
@@ -228,7 +246,8 @@ _REMOVED_NAMES = ("ConformalCalibrator", "interval")
 
 class TestOneBandingPath:
     def test_removed_names_are_gone(self):
-        assert cf.__all__ == ["weighted_quantile", "empirical_coverage", "calibrate_stream"]
+        assert cf.__all__ == ["weighted_quantile", "min_window", "empirical_coverage",
+                              "calibrate_stream"]
         for name in _REMOVED_NAMES:
             assert not hasattr(cf, name), name
 

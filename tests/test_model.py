@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -363,6 +364,62 @@ class TestGradientsFlowEverywhere:
             arr = toy_model.graph.parameters[name].data
             numeric = finite_difference(loss_value, [arr])[0]
             assert_grads_close(grads[name], numeric)
+
+
+class TestBackwardReleasesGradients:
+    """``Graph.backward`` drops each closure's gradient once the closure has
+    handed it on; leaves keep theirs."""
+
+    @staticmethod
+    def _small_step():
+        cfg, bundle, x, target = TestFusedOpsLeaveModelBitsUnchanged._setup("small")
+        return Model(cfg, bundle, seed=4), x, target
+
+    def test_only_leaves_keep_a_gradient(self):
+        model, x, target = self._small_step()
+        loss = T.huber_loss(model.forward(x), target)
+        nodes, seen, stack = [], set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        model.graph.backward(loss)
+        closures = [node for node in nodes if node._backward is not None]
+        assert len(closures) > 100
+        assert [node for node in closures if node.grad is not None] == []
+        for name, p in model.graph.parameters.items():
+            assert p.grad is not None and p.grad.shape == p.shape, name
+
+    def test_second_backward_adds_the_same_gradients_again(self):
+        # matmul, product and sum: two nodes between the loss and the parameters,
+        # whose gradients a second pass must not find left over from the first
+        g = Graph()
+        a = g.parameter("a", np.random.default_rng(44).normal(size=(3, 4)))
+        b = g.parameter("b", np.random.default_rng(45).normal(size=(4, 2)))
+        loss = (T.matmul(a, b) * np.random.default_rng(46).normal(size=(3, 2))).sum()
+        first = {name: grad.copy() for name, grad in g.backward(loss).items()}
+        second = g.backward(loss)
+        for name, grad in first.items():
+            assert np.array_equal(second[name], 2 * grad), name
+
+    def test_backward_peak_stays_well_below_the_forward_footprint(self):
+        # the climb over the post-forward level: parameter gradients plus the
+        # gradients of the nodes whose closures have not run yet
+        model, x, target = self._small_step()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = T.huber_loss(model.forward(x), target)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.graph.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        retained = after_forward - before
+        assert peak - after_forward <= 0.6 * retained, (peak - after_forward, retained)
 
 
 class TestCheckpoint:

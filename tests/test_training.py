@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wavetraffic import training as tr
 from wavetraffic.errors import DimensionError, ParameterError, TrainingError
-from wavetraffic.model import Model
+from wavetraffic.model import Model, ModelConfig
 
 
 class TestStats:
@@ -76,6 +76,18 @@ class TestSplit:
             tr.split(np.zeros((1, 3)), tr.SplitSpec(0.6, 0.2, 0.2))
 
 
+def _loop_windows(x, horizon):
+    """``make_windows`` as one slice per window start, the reference for the
+    sliding-window views."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2:
+        x = x[:, None, :]
+    length, m = ModelConfig.window, x.shape[-1]
+    starts = range(m - length - horizon + 1)
+    return (np.stack([x[:, :, s : s + length] for s in starts]),
+            np.stack([x[:, 0, s + length : s + length + horizon] for s in starts]))
+
+
 class TestWindows:
     def test_count_formula(self):
         x = np.zeros((3, 1, 100))
@@ -116,6 +128,18 @@ class TestWindows:
         with pytest.raises(ParameterError, match=f"horizon must be positive, got {horizon}"):
             tr.make_windows(np.zeros((2, 1, 40)), horizon=horizon)
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("horizon", [1, 3, 12])
+    def test_equals_the_per_window_loop(self, horizon, channels):
+        x = np.random.default_rng(horizon).normal(size=(3, channels, 60))
+        # a chronological split hands over a strided view
+        segment = tr.split(x)[0]
+        if channels == 1:
+            segment = segment[:, 0, :]
+        got, ref = tr.make_windows(segment, horizon), _loop_windows(segment, horizon)
+        for a, r in zip(got, ref):
+            assert a.flags.c_contiguous and a.dtype == r.dtype and np.array_equal(a, r)
+
     @given(st.integers(24, 80))
     @settings(max_examples=40, deadline=None)
     def test_window_count_property(self, m):
@@ -139,7 +163,6 @@ def toy_setup_module():
     n = 4
     raw = np.abs(rng.normal(5.0, 1.0, size=(n, 120)))
     from wavetraffic.graph import build_graph_bundle
-    from wavetraffic.model import ModelConfig
 
     bundle = build_graph_bundle(raw, p_sp=0.5)
     cfg = ModelConfig(nodes=n, blocks=2, width=3, heads=3, level=2, channels=2)
