@@ -1,14 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation builds a dynamic graph of ``Tensor`` nodes; calling
-``Graph.backward`` on a scalar loss walks the graph once in reverse
-topological order and runs each node's backward closure, which adds the
-node's gradient into its parents. An intermediate node's gradient is
-released as soon as its closure has handed it on; leaves (parameters and
-tensors made with ``requires_grad=True``) keep theirs. The recorded
-nodes and their data live until the caller drops the loss. Inside
-``no_grad()`` operations record no graph. All arithmetic is float64 and
-fully deterministic.
+An operation on a tensor that needs a gradient records its result in a
+dynamic graph: the result ``Tensor`` holds the data, and its graph node
+holds no data, only the gradient, the parents' nodes and the backward
+closure. Each closure keeps only the arrays its backward reads, so an
+output that no closure reads is freed as soon as the forward drops its
+``Tensor``; what the closures keep lives until the caller drops the loss.
+Calling ``Graph.backward`` on a scalar loss walks the nodes once in
+reverse topological order and runs each closure, which adds the node's
+gradient into its parents. An intermediate node's gradient is released
+as soon as its closure has handed it on; leaves (parameters and tensors
+made with ``requires_grad=True``) keep theirs. Inside ``no_grad()``
+operations record no graph. All arithmetic is float64 and fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -72,17 +76,65 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    """A float64 array node in the differentiation graph."""
+def _saved(t: "Tensor", reader: "Tensor"):
+    """``t.data`` if ``reader`` has a node, since only ``reader``'s gradient
+    reads it; else None, so that the closure does not keep the array."""
+    return t.data if reader._node is not None else None
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name", "__weakref__")
+
+def _axis_order(a: np.ndarray) -> tuple:
+    """The axes of ``a`` in the order that ``np.empty_like(a)`` lays out a
+    fresh array: C or F when ``a`` is contiguous that way, else by falling
+    stride. A closure keeps this instead of ``a`` to lay a gradient out like it."""
+    if a.flags.c_contiguous:
+        return tuple(range(a.ndim))
+    if a.flags.f_contiguous:
+        return tuple(range(a.ndim - 1, -1, -1))
+    return tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
+
+
+def _new(make, shape: tuple, order: tuple) -> np.ndarray:
+    """``make`` (``np.empty`` or ``np.zeros``) of ``shape``, its memory
+    running over the axes in ``order``."""
+    return make([shape[i] for i in order]).transpose(np.argsort(order))
+
+
+class _Node:
+    """The graph vertex of a tensor that needs a gradient.
+
+    It holds no data: only the gradient, the parents' nodes and the
+    backward closure, which a leaf does not have.
+    """
+
+    __slots__ = ("grad", "_parents", "_backward")
+
+    def __init__(self, parents=(), backward=None):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+    def _accumulate(self, grad, owned=False):
+        """Add ``grad`` to this node's gradient.
+
+        The first gradient is copied, since several parents may be handed
+        views of one array, unless ``owned`` marks a fresh array that the
+        calling closure made for this parent alone: that one is kept.
+        """
+        if self.grad is None:
+            owned = owned and type(grad) is np.ndarray  # a full sum can give a numpy scalar
+            self.grad = grad if owned else np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
+
+
+class Tensor:
+    """A float64 array, with a graph node when it needs a gradient."""
+
+    __slots__ = ("data", "_node", "name", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = _Node() if requires_grad else None
         self.name = name
 
     @property
@@ -104,41 +156,61 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    # -- graph bookkeeping -------------------------------------------------
+    # -- graph bookkeeping: the node's fields, read through its tensor -----
+
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, backward):
+        self._node._backward = backward
+
+    def _accumulate(self, grad, owned=False):
+        self._node._accumulate(grad, owned)
 
     @staticmethod
     def _result(data, parents, backward):
-        out = Tensor(data)
-        if _grad_mode.enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        return out
+        """Wrap ``data``, recording a node when a parent has one.
 
-    def _accumulate(self, grad, owned=False):
-        """Add ``grad`` to this node's gradient.
-
-        The first gradient is copied, since several parents may be handed
-        views of one array, unless ``owned`` marks a fresh array that the
-        calling closure made for this parent alone: that one is kept.
+        A closure runs only for a recorded node, so a one-input op's
+        closure can take its input's node as given.
         """
-        if self.grad is None:
-            owned = owned and type(grad) is np.ndarray  # a full sum can give a numpy scalar
-            self.grad = grad if owned else np.array(grad, dtype=np.float64)
-        else:
-            self.grad += grad
+        out = Tensor(data)
+        if _grad_mode.enabled:
+            nodes = tuple(p._node for p in parents if p._node is not None)
+            if nodes:
+                out._node = _Node(nodes, backward)
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         other = _as_tensor(other)
         data = self.data + other.data
+        na, nb, sa, sb = self._node, other._node, self.shape, other.shape
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
+            if na is not None:
+                na._accumulate(_unbroadcast(g, sa))
+            if nb is not None:
+                nb._accumulate(_unbroadcast(g, sb))
 
         return Tensor._result(data, (self, other), backward)
 
@@ -147,12 +219,14 @@ class Tensor:
     def __mul__(self, other):
         other = _as_tensor(other)
         data = self.data * other.data
+        na, nb, sa, sb = self._node, other._node, self.shape, other.shape
+        a, b = _saved(self, other), _saved(other, self)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape), owned=True)
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape), owned=True)
+            if na is not None:
+                na._accumulate(_unbroadcast(g * b, sa), owned=True)
+            if nb is not None:
+                nb._accumulate(_unbroadcast(g * a, sb), owned=True)
 
         return Tensor._result(data, (self, other), backward)
 
@@ -166,37 +240,35 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        old = self.shape
+        node, old = self._node, self.shape
         data = self.data.reshape(shape)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(old))
+            node._accumulate(g.reshape(old))
 
         return Tensor._result(data, (self,), backward)
 
     def transpose(self, axes):
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))
+        node = self._node
         data = self.data.transpose(axes)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.transpose(inverse))
+            node._accumulate(g.transpose(inverse))
 
         return Tensor._result(data, (self,), backward)
 
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
+        node, shape = self._node, self.shape
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g):
-            if not self.requires_grad:
-                return
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy(), owned=True)
+            node._accumulate(np.broadcast_to(g, shape).copy(), owned=True)
 
         return Tensor._result(data, (self,), backward)
 
@@ -229,14 +301,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: trailing extent of {a.shape} does not match leading extent of {b.shape}"
         )
     data = np.matmul(a.data, b.data)
+    na, nb, sa, sb = a._node, b._node, a.shape, b.shape
+    a_data, b_data = _saved(a, b), _saved(b, a)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
+        if na is not None:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            na._accumulate(_unbroadcast(ga, sa), owned=True)
+        if nb is not None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            nb._accumulate(_unbroadcast(gb, sb), owned=True)
 
     return Tensor._result(data, (a, b), backward)
 
@@ -252,12 +326,14 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
     lhs, out_sub = subscripts.replace(" ", "").split("->")
     sa, sb = lhs.split(",")
     data = np.einsum(subscripts, a.data, b.data)
+    na, nb = a._node, b._node
+    a_data, b_data = _saved(a, b), _saved(b, a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.einsum(f"{out_sub},{sb}->{sa}", g, b.data), owned=True)
-        if b.requires_grad:
-            b._accumulate(np.einsum(f"{out_sub},{sa}->{sb}", g, a.data), owned=True)
+        if na is not None:
+            na._accumulate(np.einsum(f"{out_sub},{sb}->{sa}", g, b_data), owned=True)
+        if nb is not None:
+            nb._accumulate(np.einsum(f"{out_sub},{sa}->{sb}", g, a_data), owned=True)
 
     return Tensor._result(data, (a, b), backward)
 
@@ -265,27 +341,27 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
 def concat(tensors, axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
+                node._accumulate(g[tuple(idx)])
 
     return Tensor._result(data, tuple(tensors), backward)
 
 
 def relu(t: Tensor) -> Tensor:
     t = _as_tensor(t)
+    node = t._node
     mask = t.data > 0
     data = np.where(mask, t.data, 0.0)
 
     def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * mask, owned=True)
+        node._accumulate(g * mask, owned=True)
 
     return Tensor._result(data, (t,), backward)
 
@@ -308,8 +384,15 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
     """``p * (g - sum(g * p))``: the gradient at the input of a softmax with
-    output ``p`` and upstream ``g``, formed in ``out`` (which may be ``g``)."""
-    out = np.subtract(g, (g * p).sum(axis=-1, keepdims=True), out=out)
+    output ``p`` and upstream ``g``, formed in ``out`` (which may be ``g``).
+
+    The row sums of ``g * p`` are taken one leading slice at a time, so the
+    whole product is never allocated; each row sums the same products.
+    """
+    dot = np.empty(g.shape[:-1] + (1,))
+    for i in np.ndindex(g.shape[:1] if g.ndim > 1 else ()):
+        dot[i] = (g[i] * p[i]).sum(axis=-1, keepdims=True)
+    out = np.subtract(g, dot, out=out)
     out *= p
     return out
 
@@ -317,11 +400,11 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
 def softmax_last(t: Tensor) -> Tensor:
     """Softmax along the last axis, max-shifted for stability."""
     t = _as_tensor(t)
+    node = t._node
     data = _softmax(t.data)
 
     def backward(g):
-        if t.requires_grad:
-            t._accumulate(_softmax_grad(data, g), owned=True)
+        node._accumulate(_softmax_grad(data, g), owned=True)
 
     return Tensor._result(data, (t,), backward)
 
@@ -346,16 +429,19 @@ def attention_logits(q: Tensor, k: Tensor, bias: Tensor, scale: float) -> Tensor
     data = np.matmul(q.data, k_t)
     data *= scale
     data += bias.data
+    nq, nk, nbias = q._node, k._node, bias._node
+    q_shape, k_t_shape, bias_shape = q.shape, k_t.shape, bias.shape
+    q_data, k_data = _saved(q, k), _saved(k, q)
 
     def backward(g):
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
-        gs = g * scale
-        if q.requires_grad:
-            q._accumulate(_unbroadcast(np.matmul(gs, k.data), q.shape), owned=True)
-        if k.requires_grad:
-            gk_t = _unbroadcast(np.matmul(np.swapaxes(q.data, -1, -2), gs), k_t.shape)
-            k._accumulate(np.swapaxes(gk_t, -1, -2), owned=True)
+        if nbias is not None:
+            nbias._accumulate(_unbroadcast(g, bias_shape))  # a copy or a sum, taken before g scales
+        g *= scale  # this node's own gradient, which no one reads after this closure
+        if nq is not None:
+            nq._accumulate(_unbroadcast(np.matmul(g, k_data), q_shape), owned=True)
+        if nk is not None:
+            gk_t = _unbroadcast(np.matmul(np.swapaxes(q_data, -1, -2), g), k_t_shape)
+            nk._accumulate(np.swapaxes(gk_t, -1, -2), owned=True)
 
     return Tensor._result(data, (q, k, bias), backward)
 
@@ -365,13 +451,15 @@ def softmax_matmul(logits: Tensor, v: Tensor) -> Tensor:
     logits, v = _as_tensor(logits), _as_tensor(v)
     p = _softmax(logits.data)
     data = np.matmul(p, v.data)
+    nl, nv, v_shape = logits._node, v._node, v.shape
+    v_data = _saved(v, logits)
 
     def backward(g):
-        if v.requires_grad:
-            v._accumulate(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.shape), owned=True)
-        if logits.requires_grad:
-            dp = np.matmul(g, np.swapaxes(v.data, -1, -2))
-            logits._accumulate(_softmax_grad(p, dp, out=dp), owned=True)
+        if nv is not None:
+            nv._accumulate(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v_shape), owned=True)
+        if nl is not None:
+            dp = np.matmul(g, np.swapaxes(v_data, -1, -2))
+            nl._accumulate(_softmax_grad(p, dp, out=dp), owned=True)
 
     return Tensor._result(data, (logits, v), backward)
 
@@ -389,6 +477,7 @@ def gated_tanh_pool(q: Tensor, c: int, window: int) -> Tensor:
     q = _as_tensor(q)
     if window < 1:
         raise ParameterError(f"gated_tanh_pool: window must be >= 1, got {window}")
+    node, shape, order = q._node, q.shape, _axis_order(q.data)
     n = q.shape[-1] // window * window
     th = np.tanh(q.data[..., :c, :], order="C")
     sg = np.negative(q.data[..., c:, :], order="C")
@@ -402,11 +491,9 @@ def gated_tanh_pool(q: Tensor, c: int, window: int) -> Tensor:
     data /= window
 
     def backward(g):
-        if not q.requires_grad:
-            return
         gg = np.zeros_like(th)  # the gate's gradient: g / window over each window, 0 after
         gg[..., :n] = np.repeat(g / window, window, axis=-1)
-        gq = np.empty_like(q.data)
+        gq = _new(np.empty, shape, order)
         gt = gg * sg
         gt *= 1.0 - th * th
         gq[..., :c, :] = gt
@@ -414,7 +501,7 @@ def gated_tanh_pool(q: Tensor, c: int, window: int) -> Tensor:
         gg *= sg
         gg *= 1.0 - sg
         gq[..., c:, :] = gg
-        q._accumulate(gq, owned=True)
+        node._accumulate(gq, owned=True)
 
     return Tensor._result(data, (q,), backward)
 
@@ -435,17 +522,20 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     normed = centered * inv
     data = normed * gain.data
     data += bias.data  # bias broadcasts to the shape of normed * gain
+    nt, ngain, nbias = t._node, gain._node, bias._node
+    t_shape, gain_shape, bias_shape = t.shape, gain.shape, bias.shape
+    gain_data = _saved(gain, t)
 
     def backward(g):
-        if t.requires_grad:
-            gn = _unbroadcast(g * gain.data, t.shape)
+        if nt is not None:
+            gn = _unbroadcast(g * gain_data, t_shape)
             dot = (gn * normed).sum(axis=-1, keepdims=True) * scale
-            t._accumulate(inv * (gn - gn.sum(axis=-1, keepdims=True) * scale - normed * dot),
-                          owned=True)
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * normed, gain.shape), owned=True)
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
+            nt._accumulate(inv * (gn - gn.sum(axis=-1, keepdims=True) * scale - normed * dot),
+                           owned=True)
+        if ngain is not None:
+            ngain._accumulate(_unbroadcast(g * normed, gain_shape), owned=True)
+        if nbias is not None:
+            nbias._accumulate(_unbroadcast(g, bias_shape))
 
     return Tensor._result(data, (t, gain, bias), backward)
 
@@ -474,30 +564,33 @@ def conv1d(t: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     t_out = length - s + 1
     w = kernel.data.reshape(c_out, c_in * s)
 
-    def columns():
-        windows = np.lib.stride_tricks.sliding_window_view(t.data, s, axis=-1)
+    def columns(x):
+        windows = np.lib.stride_tricks.sliding_window_view(x, s, axis=-1)
         # (..., C_in, T_out, s) windows -> (rows, C_in*s)
         return np.swapaxes(windows, -2, -3).reshape(-1, c_in * s)
 
-    rows = columns() @ w.T  # (rows, C_out)
+    rows = columns(t.data) @ w.T  # (rows, C_out)
     if bias is not None:
         bias = _as_tensor(bias)
         rows += bias.data
     data = np.swapaxes(rows.reshape(lead + (t_out, c_out)), -1, -2)
+    nt, nk, nb = t._node, kernel._node, None if bias is None else bias._node
+    t_shape, t_order, k_shape = t.shape, _axis_order(t.data), kernel.shape
+    x = _saved(t, kernel)
 
     def backward(g):
         # the column matrix is rebuilt here rather than kept alive with the graph
         g_rows = np.swapaxes(g, -1, -2).reshape(-1, c_out)
-        if kernel.requires_grad:
-            kernel._accumulate((g_rows.T @ columns()).reshape(kernel.shape), owned=True)
-        if t.requires_grad:
+        if nk is not None:
+            nk._accumulate((g_rows.T @ columns(x)).reshape(k_shape), owned=True)
+        if nt is not None:
             g_cols = (g_rows @ w).reshape(lead + (t_out, c_in, s))
-            gx = np.zeros_like(t.data)
+            gx = _new(np.zeros, t_shape, t_order)
             for l in range(s):  # col2im: tap l read input steps l .. l + T_out - 1
                 gx[..., l : l + t_out] += np.swapaxes(g_cols[..., l], -1, -2)
-            t._accumulate(gx, owned=True)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g_rows.sum(axis=0), owned=True)
+            nt._accumulate(gx, owned=True)
+        if nb is not None:
+            nb._accumulate(g_rows.sum(axis=0), owned=True)
 
     parents = (t, kernel) if bias is None else (t, kernel, bias)
     return Tensor._result(data, parents, backward)
@@ -511,6 +604,7 @@ def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
         raise DimensionError(f"huber_loss: shapes {pred.shape} and {target.shape} differ")
     if delta <= 0:
         raise ParameterError(f"huber_loss: delta must be positive, got {delta}")
+    node = pred._node
     err = pred.data - target
     abs_err = np.abs(err)
     quad = abs_err <= delta
@@ -519,8 +613,7 @@ def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
     n = err.size
 
     def backward(g):
-        if pred.requires_grad:
-            pred._accumulate(g * np.clip(err, -delta, delta) / n, owned=True)
+        node._accumulate(g * np.clip(err, -delta, delta) / n, owned=True)
 
     return Tensor._result(data, (pred,), backward)
 
@@ -551,7 +644,8 @@ class Graph:
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
         """Run every closure between ``loss`` and the leaves, each once, in
-        reverse topological order; returns the gradient store.
+        reverse topological order over the graph nodes; returns the
+        gradient store.
 
         Each closure's node gives up its gradient right after the closure
         has run: no closure reads it again, so at most the gradients of the
@@ -561,9 +655,10 @@ class Graph:
         """
         if loss.size != 1:
             raise DimensionError(f"backward: loss must be scalar, got shape {loss.shape}")
-        topo: list[Tensor] = []
+        root = loss._node if loss._node is not None else _Node()  # a graph-free loss: no closure
+        topo: list[_Node] = []
         seen = set()
-        stack = [(loss, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -576,7 +671,7 @@ class Graph:
             for p in node._parents:
                 if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
-        loss.grad = np.ones_like(loss.data)
+        root.grad = np.ones_like(loss.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

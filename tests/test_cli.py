@@ -480,7 +480,8 @@ class TestMalformedInput:
         argv[2] = str(tmp_path / "missing.csv")
         self._fails_cleanly(argv, capsys, message)
 
-    @pytest.mark.parametrize("fault, message", [
+    # ids are the fault names alone, so rewording a message keeps the test ids
+    _CHECKPOINT_FAULTS = [
         ("not_zip", "not a checkpoint archive"),
         ("unknown_config_key", "checkpoint config: unknown key(s): dropout"),
         ("constants_in_config",
@@ -514,7 +515,10 @@ class TestMalformedInput:
         ("norm_mean_nan", "tensor 'extra/norm_mean' has 1 non-finite entries"),
         ("wq_nan", "tensor 'block0.wta.wq' has 1 non-finite entries"),
         ("time_w_inf", "tensor 'pred.time_w' has 1 non-finite entries"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("fault, message", _CHECKPOINT_FAULTS,
+                             ids=[fault for fault, _ in _CHECKPOINT_FAULTS])
     def test_forecast_malformed_checkpoint(self, trained, dataset, tmp_path, capsys,
                                            fault, message):
         edits = {

@@ -422,6 +422,33 @@ class TestBackwardReleasesGradients:
         assert peak - after_forward <= 0.6 * retained, (peak - after_forward, retained)
 
 
+class TestForwardFreesUnreadOutputs:
+    """A closure keeps only the arrays its backward reads, so the outputs
+    that no closure reads are freed inside the forward."""
+
+    def test_forward_retains_less_than_its_recorded_outputs(self, monkeypatch):
+        model, x, target = TestBackwardReleasesGradients._small_step()
+        owned = []
+        record = T.Tensor.__dict__["_result"].__func__
+
+        def counted(data, parents, backward):
+            out = record(data, parents, backward)
+            if out._backward is not None and out.data.flags.owndata:
+                owned.append(out.data.nbytes)
+            return out
+
+        monkeypatch.setattr(T.Tensor, "_result", staticmethod(counted))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = T.huber_loss(model.forward(x), target)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad and len(owned) > 50
+        assert retained <= 0.8 * sum(owned), (retained, sum(owned))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, toy_setup, toy_model, tmp_path):
         path = tmp_path / "model.bin"

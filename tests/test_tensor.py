@@ -1,4 +1,5 @@
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -348,11 +349,39 @@ class TestNoGrad:
             with T.no_grad():
                 pass
             assert (p * 2.0)._backward is None  # still off after the inner block
-        assert (p * 2.0)._parents[0] is p
+        assert (p * 2.0)._parents[0] is p._node
         with pytest.raises(ValueError):
             with T.no_grad():
                 raise ValueError("inside")
-        assert (p * 2.0)._parents[0] is p
+        assert (p * 2.0)._parents[0] is p._node
+
+
+class TestClosuresKeepOnlyWhatTheyRead:
+    """A recorded result's array lives only as long as its tensor, unless a
+    backward closure reads it."""
+
+    def test_logits_die_once_only_the_consumer_is_held(self):
+        q, k, v = (Tensor(_rand(shape, seed), requires_grad=True)
+                   for shape, seed in (((2, 3, 4), 64), ((2, 5, 4), 65), ((2, 5, 4), 66)))
+        logits = T.attention_logits(q, k, Tensor(_rand((3, 5), 67)), 0.5)
+        alive = weakref.ref(logits.data)
+        out = T.softmax_matmul(logits, v)
+        del logits
+        assert alive() is None
+        Graph().backward(out.sum())
+        assert all(t.grad is not None for t in (q, k, v))
+
+    def test_matmul_with_a_constant_left_operand_keeps_neither_tensor(self):
+        # the closure keeps only the constant's array, which b's gradient reads
+        a = T.constant(_rand((3, 4), 68))
+        x = Tensor(_rand((4, 2), 69), requires_grad=True)
+        b = x * 2.0  # a recorded result, which only a gradient for ``a`` would read
+        a_data, a_alive, b_alive = a.data, weakref.ref(a), weakref.ref(b.data)
+        out = T.matmul(a, b)
+        del a, b
+        assert a_alive() is None and b_alive() is None
+        Graph().backward(out.sum())
+        np.testing.assert_array_equal(x.grad, (a_data.T @ np.ones((3, 2))) * 2.0)
 
 
 class TestFirstAccumulation:
