@@ -292,21 +292,13 @@ def _cmd_sweep_level(args) -> int:
     return 0
 
 
-def _load_forecast_rows(path):
-    """(y, pred) of a forecast file, which must hold at least one row."""
-    y, pred, _ = data_io.load_forecasts(path)
-    if y.size == 0:
-        raise DataError(f"{path}: no forecast rows")
-    return y, pred
-
-
 def _cmd_conformal(args) -> int:
     shortest = cp.min_window(args.beta)
     if args.alpha < shortest:
         raise ParameterError(f"--alpha {args.alpha} is below {shortest}, the fewest scores "
                              f"that can give a finite band at --beta {args.beta}")
-    y_cal, pred_cal = _load_forecast_rows(args.calibration)
-    y_test, pred_test = _load_forecast_rows(args.test)
+    y_cal, pred_cal, _ = data_io.load_forecasts(args.calibration)
+    y_test, pred_test, _ = data_io.load_forecasts(args.test)
     lo, hi = cp.calibrate_stream(y_cal, pred_cal, y_test, pred_test,
                                  window=args.alpha, beta=args.beta)
     data_io.save_forecasts(args.out, y_test, pred_test, intervals=(lo, hi))
@@ -317,7 +309,7 @@ def _cmd_conformal(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    y, pred = _load_forecast_rows(args.forecasts)
+    y, pred, _ = data_io.load_forecasts(args.forecasts)
     overall = {name: getattr(evalbench, name)(y, pred) for name in ("mae", "mape", "rmse")}
     steps = {name: evalbench.stepwise_errors(y, pred, name) for name in overall}
     with open(args.out, "w", newline="") as fh:
@@ -332,7 +324,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_mcb(args) -> int:
-    with open(args.table, newline="") as fh:
+    with data_io.open_text(args.table) as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"{args.table}: empty file")

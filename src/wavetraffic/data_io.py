@@ -9,6 +9,7 @@ one ``np.loadtxt`` call, falling back to a row scan only to name a fault.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from pathlib import Path
 
@@ -24,6 +25,7 @@ __all__ = [
     "synthetic_coupling",
     "save_forecasts",
     "load_forecasts",
+    "open_text",
     "fmt",
 ]
 
@@ -33,6 +35,19 @@ _BLOCK_ROWS = 4096  # rows formatted per write, bounding the text held at once
 
 def fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Read ``path`` as UTF-8 text for ``csv``; a missing file or bytes that
+    are not UTF-8 raise ``DataError``."""
+    if not Path(path).exists():
+        raise DataError(f"no such file: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def load_csv(path) -> np.ndarray:
@@ -46,10 +61,7 @@ def load_csv(path) -> np.ndarray:
     ``\\r``) is the file read again row by row, and that scan names the
     faulty row and column in its :class:`DataError`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         header = next(csv.reader(fh), None)
         body = fh.read()
     table = None if header is None else _parse_body(body, len(header))
@@ -77,7 +89,7 @@ def _scan_rows(path) -> np.ndarray:
     """Parse the CSV one row at a time; raises a DataError at the first
     empty file, missing body, ragged row, non-numeric or non-finite cell."""
     rows = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -209,6 +221,13 @@ def synthetic_coupling(n_nodes: int, seed: int = 0) -> np.ndarray:
 _FORECAST_COLUMNS = ["t", "node", "step", "y", "pred", "lo", "hi", "covered"]
 
 
+def _forecast_keys(rows: int, nodes: int, steps: int):
+    """``t, node, step`` of a forecast grid's first ``rows`` rows, as they are
+    written: ``t`` and ``node`` from 0, ``step`` from 1, step fastest."""
+    i = np.arange(rows)
+    return i // (nodes * steps), i // steps % nodes, i % steps + 1
+
+
 def save_forecasts(path, y, pred, intervals=None):
     """Write long-format forecasts: t, node, step, y, pred[, lo, hi, covered].
 
@@ -228,8 +247,8 @@ def save_forecasts(path, y, pred, intervals=None):
             raise DataError("save_forecasts: interval shapes misaligned")
         header = _FORECAST_COLUMNS
         columns += [lo, hi, (lo <= y) & (y <= hi)]
-    t, node, step = np.indices(y.shape).reshape(3, -1)
-    save_table(path, [t, node, step + 1] + [c.ravel() for c in columns], header=header)
+    keys = _forecast_keys(y.size, *y.shape[1:])
+    save_table(path, [*keys] + [c.ravel() for c in columns], header=header)
 
 
 def load_forecasts(path):
@@ -237,47 +256,42 @@ def load_forecasts(path):
 
     Returns (y, pred, intervals_or_None) with shapes (T, N, steps). The
     header must be ``t,node,step,y,pred,lo,hi,covered`` or its first 5
-    columns. Every (t, node, step) cell of that grid must appear in exactly
-    one row. The ``covered`` column is read and ignored.
+    columns; ``covered`` is ignored. A file without rows, the first row off
+    the writer's grid (:func:`_forecast_keys`), a non-finite ``y`` or
+    ``pred`` and a NaN ``lo`` or ``hi`` raise ``DataError``.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         line = fh.readline().strip()
         names = line.split(",")
         if names not in (_FORECAST_COLUMNS[:5], _FORECAST_COLUMNS):
             raise DataError(f"{path}: header {line!r} is not "
                             f"{','.join(_FORECAST_COLUMNS)} or its first 5 columns")
-        has_intervals = len(names) > 5
         start = fh.tell()
-        if not fh.readline():
-            return (np.zeros((0, 0, 0)),) * 2 + (None,)
+        if not fh.readline():  # np.loadtxt would warn on an empty body
+            raise DataError(f"{path}: no forecast rows")
         fh.seek(start)
         dtype = [(n, np.int64 if i < 3 else np.float64) for i, n in enumerate(names)]
         try:
             table = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+        except UnicodeDecodeError:
+            raise
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from None
-    keys = [table[n] for n in names[:3]]
-    axes, index = zip(*(np.unique(k, return_inverse=True) for k in keys))
-    shape = tuple(len(a) for a in axes)
-    flat = np.ravel_multi_index(index, shape)
-    order = np.argsort(flat, kind="stable")
-    ranked = flat[order]
-    repeats = order[1:][ranked[1:] == ranked[:-1]]
-    if repeats.size:
-        row = int(repeats.min())
-        raise DataError(f"{path}: row {row + 1} after the header repeats (t, node, step) "
-                        f"{tuple(int(k[row]) for k in keys)}")
-    if len(ranked) < np.prod(shape):
-        gaps = np.flatnonzero(ranked != np.arange(len(ranked)))
-        cell = np.unravel_index(gaps[0] if gaps.size else len(ranked), shape)
-        raise DataError(f"{path}: no row for (t, node, step) "
-                        f"{tuple(int(a[i]) for a, i in zip(axes, cell))}")
-
-    def column(name):
-        return table[name][order].reshape(shape)
-
-    intervals = (column("lo"), column("hi")) if has_intervals else None
-    return column("y"), column("pred"), intervals
+    keys = np.stack([table[n] for n in names[:3]])
+    rows = len(table)
+    nodes, steps = np.clip(keys[1:].max(axis=1, initial=0) + (1, 0), 1, max(rows, 1)).tolist()
+    grid = np.stack(_forecast_keys(rows + 1, nodes, steps))
+    off = np.flatnonzero((keys != grid[:, :rows]).any(axis=0))
+    if off.size or rows % (nodes * steps) or not rows:  # no rows: blank lines only
+        r = int(off[0]) if off.size else rows
+        found = tuple(keys[:, r].tolist()) if r < rows else "the end of the file"
+        raise DataError(f"{path}: row {r + 1} after the header should be (t, node, step) "
+                        f"{tuple(grid[:, r].tolist())}, found {found}")
+    faults = np.stack([~np.isfinite(table[n]) for n in names[3:5]]
+                      + [np.isnan(table[n]) for n in names[5:7]])  # a band may be infinite
+    if faults.any():
+        r, c = np.argwhere(faults.T)[0]
+        raise DataError(f"{path}: row {r + 1} after the header has "
+                        f"{names[3 + c]} = {float(table[names[3 + c]][r])}")
+    y, pred, *band = (table[n].reshape(-1, nodes, steps).copy() for n in names[3:7])
+    return y, pred, tuple(band) or None

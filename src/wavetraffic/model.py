@@ -69,7 +69,7 @@ class ModelConfig:
                 f"width {self.width} < cheb_order {self.cheb_order} leaves the "
                 f"spatial attention heads (width // cheb_order) empty"
             )
-        taps = (2 ** self.level - 1) * (len(wavelet.get_filter(self.filter_name)) - 1) + 1
+        taps = (2 ** self.level - 1) * (len(wavelet.get_filter(self.filter_name)[0]) - 1) + 1
         if taps > self.window:
             raise ParameterError(
                 f"level-{self.level} {self.filter_name} filter has {taps} taps, "
@@ -276,17 +276,14 @@ class Model:
     # -- full network ------------------------------------------------------
 
     def forward(self, x, collect_attention: bool = False):
-        """Map a (B, N, c0, M) or (N, c0, M) window array to (B, N, horizon).
-
-        Residual attention logits start at zero and thread through the
-        stacked blocks. Returns the prediction ``Tensor`` (and, when
-        requested, the list of all attention tensors for diagnostics).
+        """Map a (B, N, c0, M) batch of windows to (B, N, horizon); one
+        window is the batch ``x[None]``, and any other shape raises
+        ``DimensionError``. Residual attention logits start at zero and
+        thread through the stacked blocks. Returns the prediction ``Tensor``
+        (and, when requested, the list of all attention tensors).
         """
         cfg = self.cfg
         arr = np.asarray(x, dtype=np.float64)
-        squeeze = arr.ndim == 3
-        if squeeze:
-            arr = arr[None]
         if arr.shape[1:] != (cfg.nodes, cfg.in_channels, cfg.window):
             raise DimensionError(
                 f"forward: expected (B, {cfg.nodes}, {cfg.in_channels}, {cfg.window}), "
@@ -308,8 +305,6 @@ class Model:
             + self._p("pred.collapse_b")
         )
         out = T.einsum("bnm,mh->bnh", pred_in, self._p("pred.time_w")) + self._p("pred.time_b")
-        if squeeze:
-            out = out.reshape(cfg.nodes, cfg.horizon)
         if collect_attention:
             return out, collected
         return out

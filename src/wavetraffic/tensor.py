@@ -238,8 +238,6 @@ class Tensor:
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         node, old = self._node, self.shape
         data = self.data.reshape(shape)
 
@@ -596,8 +594,15 @@ def conv1d(t: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     return Tensor._result(data, parents, backward)
 
 
+def huber_value(err: np.ndarray, delta: float) -> np.ndarray:
+    """Elementwise Huber value: quadratic within ``delta``, linear outside.
+    The one formula of :func:`huber_loss` and ``fit``'s validation loss."""
+    a = np.abs(err)
+    return np.where(a <= delta, 0.5 * err * err, delta * (a - 0.5 * delta))
+
+
 def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
-    """Mean Huber loss: quadratic within ``delta``, linear outside."""
+    """Mean Huber loss (:func:`huber_value`) with gradient clip(err) / n."""
     pred = _as_tensor(pred)
     target = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
     if pred.shape != target.shape:
@@ -606,16 +611,12 @@ def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
         raise ParameterError(f"huber_loss: delta must be positive, got {delta}")
     node = pred._node
     err = pred.data - target
-    abs_err = np.abs(err)
-    quad = abs_err <= delta
-    elementwise = np.where(quad, 0.5 * err * err, delta * (abs_err - 0.5 * delta))
-    data = elementwise.mean()
     n = err.size
 
     def backward(g):
         node._accumulate(g * np.clip(err, -delta, delta) / n, owned=True)
 
-    return Tensor._result(data, (pred,), backward)
+    return Tensor._result(huber_value(err, delta).mean(), (pred,), backward)
 
 
 class Graph:

@@ -203,7 +203,7 @@ def fit(model: Model, train_windows, val_windows, cfg: TrainConfig = TrainConfig
         for lo in range(0, len(va_x), cfg.batch_size):
             pred = model.predict(va_x[lo : lo + cfg.batch_size])
             chunk = va_y[lo : lo + cfg.batch_size]
-            val_loss += _huber_value(pred - chunk, cfg.huber_delta).sum()
+            val_loss += T.huber_value(pred - chunk, cfg.huber_delta).sum()
             val_abs += np.abs(pred - chunk).sum()
             val_count += chunk.size
         val_loss /= max(val_count, 1)
@@ -219,8 +219,3 @@ def fit(model: Model, train_windows, val_windows, cfg: TrainConfig = TrainConfig
             best_val = val_loss
             best_state = model.graph.state()
     return FitResult(best_state=best_state, final_state=model.graph.state(), log=log)
-
-
-def _huber_value(err: np.ndarray, delta: float) -> np.ndarray:
-    a = np.abs(err)
-    return np.where(a <= delta, 0.5 * err * err, delta * (a - 0.5 * delta))

@@ -7,21 +7,21 @@ under circular shifts. Synthesis is the transpose pyramid, which makes
 the detail/smooth components sum back to the input exactly (up to
 float64 rounding). :func:`mra` returns those components as a list,
 details first and the smooth last, and :func:`imodwt` sums such a list.
+
+Filters are named: ``"haar"`` and ``"d4"`` (Daubechies' four-tap filter;
+Percival & Walden, *Wavelet Methods for Time Series Analysis*, 2000).
+:func:`get_filter` returns a name's unit-energy (scaling, wavelet) taps.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 
 __all__ = [
-    "WaveletFilter",
-    "HAAR",
-    "D4",
     "get_filter",
     "modwt",
     "imodwt",
@@ -31,30 +31,6 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class WaveletFilter:
-    """Unit-energy base scaling (g) and wavelet (h) filters."""
-
-    name: str
-    scaling: np.ndarray
-    wavelet: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.scaling, dtype=np.float64)
-        h = np.asarray(self.wavelet, dtype=np.float64)
-        object.__setattr__(self, "scaling", g)
-        object.__setattr__(self, "wavelet", h)
-        if g.shape != h.shape or g.ndim != 1:
-            raise DimensionError("filter taps g and h must be 1-D of equal length")
-        if abs(h.sum()) > 1e-12:
-            raise ParameterError(f"wavelet taps of {self.name!r} do not sum to zero")
-        if abs((g * g).sum() - 1.0) > 1e-12 or abs((h * h).sum() - 1.0) > 1e-12:
-            raise ParameterError(f"filter taps of {self.name!r} are not unit energy")
-
-    def __len__(self):
-        return len(self.scaling)
 
 
 def _qmf(g: np.ndarray) -> np.ndarray:
@@ -67,31 +43,25 @@ _haar_g = np.array([1.0, 1.0]) / _SQRT2
 _d4_g = np.array([1.0 + np.sqrt(3.0), 3.0 + np.sqrt(3.0),
                   3.0 - np.sqrt(3.0), 1.0 - np.sqrt(3.0)]) / (4.0 * _SQRT2)
 
-HAAR = WaveletFilter("haar", _haar_g, _qmf(_haar_g))
-D4 = WaveletFilter("d4", _d4_g, _qmf(_d4_g))
-
-_FILTERS = {"haar": HAAR, "d4": D4}
+# unit-energy base scaling (g) and wavelet (h) taps
+_FILTERS = {"haar": (_haar_g, _qmf(_haar_g)), "d4": (_d4_g, _qmf(_d4_g))}
 
 
-def get_filter(name) -> WaveletFilter:
-    if isinstance(name, WaveletFilter):
-        return name
+def get_filter(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the (scaling, wavelet) taps of the filter called ``name``."""
     try:
-        return _FILTERS[str(name).lower()]
+        return tuple(taps.copy() for taps in _FILTERS[str(name).lower()])
     except KeyError:
         raise ParameterError(
             f"unknown wavelet filter {name!r}; available: {sorted(_FILTERS)}"
         ) from None
 
 
-def _check_input(u: np.ndarray, filt: WaveletFilter, level: int):
+def _check_input(u: np.ndarray, base: int, level: int):
     if level < 1:
         raise ParameterError(f"decomposition level must be >= 1, got {level}")
     length = u.shape[-1]
-    if length == 0:
-        raise DimensionError("cannot transform an empty series")
-    base = len(filt)
-    if length < base:
+    if length < base:  # also an empty series
         raise DimensionError(
             f"series length {length} shorter than base filter length {base}"
         )
@@ -121,11 +91,10 @@ def modwt(u, filt="haar", level: int = 2):
     Works along the last axis, so batched inputs are transformed per
     series. Coefficient series keep the input length.
     """
-    filt = get_filter(filt)
+    g, h = get_filter(filt)
     u = np.asarray(u, dtype=np.float64)
-    _check_input(u, filt, level)
-    g = filt.scaling / _SQRT2
-    h = filt.wavelet / _SQRT2
+    _check_input(u, len(g), level)
+    g, h = g / _SQRT2, h / _SQRT2
     coeffs = []
     v = u
     for j in range(1, level + 1):
@@ -155,11 +124,8 @@ def mra(u, filt="haar", level: int = 2) -> list[np.ndarray]:
     every coefficient band except one and running the transpose pyramid
     back to level zero.
     """
-    filt = get_filter(filt)
-    u = np.asarray(u, dtype=np.float64)
     coeffs, v = modwt(u, filt, level)
-    g = filt.scaling / _SQRT2
-    h = filt.wavelet / _SQRT2
+    g, h = (taps / _SQRT2 for taps in get_filter(filt))
 
     def _ascend(series, start_level, first_taps):
         out = _filter_step(series, first_taps, -(2 ** (start_level - 1)))
@@ -178,9 +144,7 @@ def mra_matrices(filt, level: int, length: int) -> list[np.ndarray]:
     yields exact dense operators; used to run the decomposition inside
     the differentiable model on short windows.
     """
-    eye = np.eye(length)
-    comps = mra(eye, filt, level)
-    return [c.T.copy() for c in comps]
+    return [c.T.copy() for c in mra(np.eye(length), filt, level)]
 
 
 def equivalent_filters(filt, level: int):
@@ -190,8 +154,7 @@ def equivalent_filters(filt, level: int):
     by 2^{j/2}; the direct circular convolution with these taps must
     agree with the pyramid output, which the tests exercise.
     """
-    filt = get_filter(filt)
-    g, h = filt.scaling, filt.wavelet
+    g, h = get_filter(filt)
     pairs = []
     g_cascade = np.array([1.0])
     for j in range(1, level + 1):

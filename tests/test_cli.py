@@ -618,6 +618,46 @@ class TestMalformedInput:
         self._fails_cleanly(["mcb", "--table", str(table), "--out", str(tmp_path / "r.csv")],
                             capsys, message)
 
+    @pytest.mark.parametrize("command", ["decompose", "build-graph", "train", "forecast",
+                                         "conformal", "evaluate", "mcb"])
+    def test_non_utf8_input_file(self, command, dataset, trained, forecast_pair, tmp_path,
+                                 capsys):
+        data_path, _ = dataset
+        forecasts = forecast_pair / "test.csv"
+        text = {"conformal": forecasts, "evaluate": forecasts}.get(command, data_path).read_bytes()
+        if command == "mcb":
+            text = b"model,d1,d2\nalpha,1.0,1.1\nbeta,2.0,1.2\n"
+        head, _, rest = text.partition(b"\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(head + b"\n\xff" + rest)  # 0xff starts no UTF-8 sequence
+        out = str(tmp_path / "out")
+        argv = {
+            "decompose": ["--input", str(bad), "--out-dir", out],
+            "build-graph": ["--input", str(bad), "--out-dir", out],
+            "train": ["--data", str(bad), "--out", out, *_FAST_TRAIN],
+            "forecast": ["--checkpoint", str(trained / "checkpoint.bin"), "--data", str(bad),
+                         "--out", out],
+            "conformal": ["--calibration", str(bad), "--test", str(forecasts), "--out", out],
+            "evaluate": ["--forecasts", str(bad), "--out", out],
+            "mcb": ["--table", str(bad), "--out", out],
+        }[command]
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "conformal"])
+    def test_non_finite_forecast_cells(self, command, forecast_pair, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,node,step,y,pred\n0,0,1,1.5,1.4\n0,0,2,1.5,nan\n"
+                       "1,0,1,1.5,inf\n1,0,2,1.5,1.6\n")
+        out = tmp_path / "out.csv"
+        argv = (["evaluate", "--forecasts", str(bad)] if command == "evaluate" else
+                ["conformal", "--calibration", str(forecast_pair / "val.csv"),
+                 "--test", str(bad)])
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: row 2 after the header has pred = nan\n"
+        assert not out.exists()
+
     def test_forecast_sensor_count_differs_from_checkpoint(self, trained, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
         data_io.save_csv(wide, data_io.synthetic(5, 700, seed=13))

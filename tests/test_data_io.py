@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -162,28 +163,55 @@ class TestForecastIo:
         dio.save_forecasts(path, y, pred)
         return path, path.read_text().splitlines()
 
-    def test_row_order_does_not_matter(self, tmp_path):
+    def test_swapped_rows_rejected(self, tmp_path):
+        # rows are read in the order the writer emits them; no reader sorts
         path, lines = self._written_lines(tmp_path, 8)
-        y, pred, _ = dio.load_forecasts(path)
-        body = lines[1:]
-        np.random.default_rng(0).shuffle(body)
-        path.write_text("\n".join([lines[0], *body]) + "\n")
-        y2, pred2, _ = dio.load_forecasts(path)
-        np.testing.assert_array_equal(y2, y)
-        np.testing.assert_array_equal(pred2, pred)
+        lines[30], lines[31] = lines[31], lines[30]  # t=0, node=2, steps 6 and 7
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"row 30 after the header should be "
+                                            r"\(t, node, step\) \(0, 2, 6\), found \(0, 2, 7\)"):
+            dio.load_forecasts(path)
 
     def test_missing_cell_rejected(self, tmp_path):
         path, lines = self._written_lines(tmp_path, 9)
         dropped = lines[1 + 40]  # t=1, node=0, step=5
         assert dropped.startswith("1,0,5,")
         path.write_text("\n".join(lines[:41] + lines[42:]) + "\n")
-        with pytest.raises(DataError, match=r"no row for \(t, node, step\) \(1, 0, 5\)"):
+        with pytest.raises(DataError, match=r"row 41 after the header should be "
+                                            r"\(t, node, step\) \(1, 0, 5\), found \(1, 0, 6\)"):
+            dio.load_forecasts(path)
+
+    def test_missing_last_row_rejected(self, tmp_path):
+        path, lines = self._written_lines(tmp_path, 9)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(DataError, match=r"row 216 after the header should be \(t, node, "
+                                            r"step\) \(5, 2, 12\), found the end of the file"):
             dio.load_forecasts(path)
 
     def test_duplicate_row_rejected(self, tmp_path):
         path, lines = self._written_lines(tmp_path, 10)
         path.write_text("\n".join(lines + [lines[3]]) + "\n")
-        with pytest.raises(DataError, match=r"row 217 after the header repeats \(t, node, step\) \(0, 0, 3\)"):
+        with pytest.raises(DataError, match=r"row 217 after the header should be "
+                                            r"\(t, node, step\) \(6, 0, 1\), found \(0, 0, 3\)"):
+            dio.load_forecasts(path)
+
+    def test_repeated_row_rejected(self, tmp_path):
+        path, lines = self._written_lines(tmp_path, 10)
+        path.write_text("\n".join(lines[:4] + lines[3:]) + "\n")
+        with pytest.raises(DataError, match=r"row 4 after the header should be "
+                                            r"\(t, node, step\) \(0, 0, 4\), found \(0, 0, 3\)"):
+            dio.load_forecasts(path)
+
+    @pytest.mark.parametrize("row", ["-1,0,1,1.5,1.5", "0,0,0,1.5,1.5", "0,7,1,1.5,1.5",
+                                     "0,0,99999999999,1.5,1.5"])
+    def test_off_grid_keys_rejected(self, tmp_path, row):
+        # negative, zero-step and out-of-range keys are named, however large
+        path, lines = self._written_lines(tmp_path, 10)
+        lines[1] = row
+        path.write_text("\n".join(lines) + "\n")
+        found = re.escape(f"found ({row.rsplit(',', 2)[0].replace(',', ', ')})")
+        with pytest.raises(DataError, match=rf"row 1 after the header should be "
+                                            rf"\(t, node, step\) \(0, 0, 1\), {found}$"):
             dio.load_forecasts(path)
 
     @pytest.mark.parametrize("line, message", [
@@ -207,11 +235,74 @@ class TestForecastIo:
         with pytest.raises(DataError, match=f"header '{header}' is not"):
             dio.load_forecasts(path)
 
-    def test_header_only_file_is_empty(self, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("header", ["t,node,step,y,pred", "t,node,step,y,pred,lo,hi,covered"])
+    def test_header_only_file_is_empty(self, tmp_path, header):
         path = tmp_path / "fc.csv"
-        path.write_text("t,node,step,y,pred\n")
-        y, pred, intervals = dio.load_forecasts(path)
-        assert y.shape == pred.shape == (0, 0, 0) and intervals is None
+        path.write_text(header + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no forecast rows$"):
+            dio.load_forecasts(path)
+
+    def test_blank_body_rejected(self, tmp_path):
+        # np.loadtxt skips blank lines, so this body parses to no rows
+        path = tmp_path / "fc.csv"
+        path.write_text("t,node,step,y,pred\n\n\n")
+        with pytest.warns(UserWarning, match="input contained no data"), \
+                pytest.raises(DataError, match=r"row 1 after the header should be \(t, node, step\) "
+                                               r"\(0, 0, 1\), found the end of the file$"):
+            dio.load_forecasts(path)
+
+    @pytest.mark.parametrize("column, value", [
+        ("y", "nan"), ("pred", "nan"), ("pred", "inf"), ("y", "-inf"),
+        ("lo", "nan"), ("hi", "nan"),
+    ])
+    def test_non_finite_cell_rejected(self, tmp_path, column, value):
+        y, pred = self._arrays(13)
+        path = tmp_path / "fc.csv"
+        dio.save_forecasts(path, y, pred, intervals=(pred - 1.0, pred + 1.0))
+        lines = path.read_text().splitlines()
+        for row in (40, 7):  # the first faulty row is named, whatever the order of faults
+            cells = lines[row].split(",")
+            cells[dio._FORECAST_COLUMNS.index(column)] = value
+            lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"row 7 after the header has {column} = {value}$"):
+            dio.load_forecasts(path)
+
+    def test_first_faulty_column_of_a_row_is_named(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        path.write_text("t,node,step,y,pred,lo,hi,covered\n0,0,1,1.5,2.5,1,2,1\n"
+                        "0,0,2,1.5,inf,nan,2,0\n")
+        with pytest.raises(DataError, match=r"row 2 after the header has pred = inf$"):
+            dio.load_forecasts(path)
+
+    def test_infinite_bands_load(self, tmp_path):
+        y, pred = self._arrays(14)
+        lo, hi = np.full_like(y, -np.inf), np.full_like(y, np.inf)
+        path = tmp_path / "fc.csv"
+        dio.save_forecasts(path, y, pred, intervals=(lo, hi))
+        _, _, (lo2, hi2) = dio.load_forecasts(path)
+        assert np.array_equal(lo2, lo) and np.array_equal(hi2, hi)
+
+    def test_loaded_arrays_are_contiguous_copies(self, tmp_path):
+        y, pred = self._arrays(15)
+        path = tmp_path / "fc.csv"
+        dio.save_forecasts(path, y, pred, intervals=(pred - 1.0, pred + 1.0))
+        for a in (*dio.load_forecasts(path)[:2], *dio.load_forecasts(path)[2]):
+            assert a.shape == y.shape and a.flags.c_contiguous and a.flags.owndata
+
+    @pytest.mark.parametrize("load", [dio.load_forecasts, dio.load_csv])
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_non_utf8_file_rejected(self, tmp_path, load, where):
+        path = tmp_path / "fc.csv"
+        y = np.random.default_rng(16).normal(50, 5, size=(40, 3, 12))
+        dio.save_forecasts(path, y, y + 1.0)
+        data = path.read_bytes()
+        assert len(data) > 4 * 8192  # a body fault lies past the header's read buffer
+        data = (data[:3] + b"\xff" + data[3:]) if where == "header" else data + b"\xff\r\n"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
+            load(path)
 
 
 class TestSaveTable:

@@ -68,10 +68,14 @@ class TestForward:
         out = toy_model.forward(_window_batch(cfg))
         assert out.shape == (3, cfg.nodes, cfg.horizon)
 
-    def test_single_window_squeeze(self, toy_model):
+    @pytest.mark.parametrize("entry", ["forward", "predict"])
+    def test_single_unbatched_window_rejected(self, toy_model, entry):
+        # a single window is a batch of one; (N, c0, M) is not a batch
         cfg = toy_model.cfg
-        out = toy_model.forward(_window_batch(cfg, batch=1)[0])
-        assert out.shape == (cfg.nodes, cfg.horizon)
+        window = _window_batch(cfg, batch=1)[0]
+        with pytest.raises(DimensionError, match=r"expected \(B, 4, 1, 12\), got \(4, 1, 12\)"):
+            getattr(toy_model, entry)(window)
+        assert getattr(toy_model, entry)(window[None]).shape == (1, cfg.nodes, cfg.horizon)
 
     def test_deterministic(self, toy_model):
         x = _window_batch(toy_model.cfg, seed=1)
@@ -95,7 +99,7 @@ class TestForward:
         x = _window_batch(toy_model.cfg, batch=4, seed=3)
         full = toy_model.predict(x)
         for i in range(4):
-            np.testing.assert_allclose(toy_model.predict(x[i]), full[i], atol=1e-12)
+            np.testing.assert_allclose(toy_model.predict(x[i:i + 1])[0], full[i], atol=1e-12)
 
     def test_forward_matches_looped_model(self, toy_model):
         # values of the model that looped over bands, heads and orders
@@ -141,7 +145,7 @@ class TestPredictIsGraphFree:
     def test_predict_equals_forward(self, toy_model):
         x = _window_batch(toy_model.cfg, seed=17)
         assert np.array_equal(toy_model.predict(x), toy_model.forward(x).data)
-        assert np.array_equal(toy_model.predict(x[0]), toy_model.forward(x[0]).data)
+        assert np.array_equal(toy_model.predict(x[:1]), toy_model.forward(x[:1]).data)
 
     def test_training_step_unaffected_by_predict(self, toy_setup):
         cfg, bundle = toy_setup

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavetraffic import tensor as T
 from wavetraffic import training as tr
 from wavetraffic.errors import DimensionError, ParameterError, TrainingError
 from wavetraffic.model import Model, ModelConfig
@@ -190,7 +191,7 @@ class TestFit:
         probe = Model(cfg, bundle, seed=0)
         probe.graph.load_state(result.best_state)
         best_logged = min(row["val_loss"] for row in result.log)
-        val = tr._huber_value(probe.predict(va_x) - va_y, 1.0).mean()
+        val = T.huber_value(probe.predict(va_x) - va_y, 1.0).mean()
         assert val == pytest.approx(best_logged, rel=1e-9)
 
     def test_one_validation_pass_per_epoch(self, toy_setup_module, monkeypatch):

@@ -30,18 +30,42 @@ def brute_modwt(u, filt, level):
 
 
 class TestFilters:
-    @pytest.mark.parametrize("filt", [wv.HAAR, wv.D4])
-    def test_invariants(self, filt):
-        assert abs(filt.wavelet.sum()) < 1e-12
-        assert abs((filt.scaling ** 2).sum() - 1.0) < 1e-12
-        assert abs((filt.wavelet ** 2).sum() - 1.0) < 1e-12
-        assert len(filt.scaling) == len(filt.wavelet)
+    @pytest.mark.parametrize("name", ["haar", "d4"])
+    def test_invariants(self, name):
+        g, h = wv.get_filter(name)
+        assert abs(h.sum()) < 1e-12
+        assert abs((g ** 2).sum() - 1.0) < 1e-12
+        assert abs((h ** 2).sum() - 1.0) < 1e-12
+        assert len(g) == len(h)
 
-    def test_lookup(self):
-        assert wv.get_filter("haar") is wv.HAAR
-        assert wv.get_filter("D4") is wv.D4
-        with pytest.raises(ParameterError):
-            wv.get_filter("sym8")
+    @pytest.mark.parametrize("name", ["haar", "d4"])
+    def test_wavelet_is_quadrature_mirror_of_scaling(self, name):
+        # h_l = (-1)^l g_{L-1-l}, and the two filters are orthogonal
+        g, h = wv.get_filter(name)
+        np.testing.assert_array_equal(h, (-1.0) ** np.arange(len(g)) * g[::-1])
+        assert abs(g @ h) < 1e-12
+
+    def test_lookup_returns_taps(self):
+        g, h = wv.get_filter("haar")
+        np.testing.assert_allclose(g, [2 ** -0.5, 2 ** -0.5], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(h, [2 ** -0.5, -(2 ** -0.5)], rtol=0, atol=1e-15)
+        g4, h4 = wv.get_filter("D4")
+        assert len(g4) == len(h4) == 4
+        s3 = np.sqrt(3.0)
+        np.testing.assert_allclose(
+            g4, np.array([1 + s3, 3 + s3, 3 - s3, 1 - s3]) / (4 * np.sqrt(2.0)), atol=1e-15)
+
+    def test_returned_taps_are_copies(self):
+        before = wv.mra_matrices("haar", 1, 4)
+        for taps in wv.get_filter("haar"):
+            taps *= 2.0
+        for a, b in zip(before, wv.mra_matrices("haar", 1, 4)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["sym8", "", None])
+    def test_lookup_rejects_unknown_name(self, name):
+        with pytest.raises(ParameterError, match=r"unknown wavelet filter .*\['d4', 'haar'\]"):
+            wv.get_filter(name)
 
 
 class TestModwt:
