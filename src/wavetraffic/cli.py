@@ -69,7 +69,7 @@ def _add_model_flags(sub, level=True):
                          help="wavelet decomposition level (0 disables the transform)")
     sub.add_argument("--cheb-order", dest="cheb_order", type=int, default=None)
     sub.add_argument("--channels", type=int, default=None)
-    sub.add_argument("--filter", dest="filter_name", default=None, choices=["haar", "d4"])
+    sub.add_argument("--filter", dest="filter_name", default=None, choices=wavelet.FILTER_NAMES)
 
 
 def _add_train_flags(sub):
@@ -81,8 +81,6 @@ def _add_train_flags(sub):
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--split", default="6:2:2", help="train:val:test ratio")
     sub.add_argument("--p-sp", dest="p_sp", type=float, default=0.01)
-    sub.add_argument("--stad-window", dest="stad_window", type=int, default=None,
-                     help="cap on training observations used for the distance graph")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,14 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="write per-band wavelet components as CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--filter", default="haar", choices=["haar", "d4"])
+    p.add_argument("--filter", default="haar", choices=wavelet.FILTER_NAMES)
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("build-graph", help="write STAD/STRG/STAG matrices as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--p-sp", dest="p_sp", type=float, default=0.01)
-    p.add_argument("--stad-window", dest="stad_window", type=int, default=None)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("train", help="train a forecaster and write a checkpoint")
@@ -162,18 +159,9 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _stad_input(x, stad_window):
-    series = x[:, 0, :]
-    if stad_window is not None:
-        if stad_window < 2:
-            raise ParameterError(f"--stad-window must be at least 2, got {stad_window}")
-        series = series[:, :stad_window]
-    return series
-
-
 def _cmd_build_graph(args) -> int:
     x = data_io.load_csv(args.input)
-    bundle = build_graph_bundle(_stad_input(x, args.stad_window), p_sp=args.p_sp)
+    bundle = build_graph_bundle(x[:, 0, :], p_sp=args.p_sp)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_io.save_table(out / "a_stad.csv", bundle.stad.adjacency)
@@ -193,9 +181,8 @@ def _prepare_training(args):
     x = data_io.load_csv(args.data)
     train_seg, val_seg, test_seg = training.split(x, split_spec)
     stats = training.compute_stats(train_seg)
-    bundle_input = _stad_input(train_seg, args.stad_window)
     cfg = ModelConfig(nodes=len(x), **_resolve(args, file_cfg, _MODEL_KEYS))
-    bundle = build_graph_bundle(bundle_input, p_sp=args.p_sp)
+    bundle = build_graph_bundle(train_seg[:, 0, :], p_sp=args.p_sp)
     tr, va, te = (training.make_windows(training.normalize(seg, stats), cfg.horizon)
                   for seg in (train_seg, val_seg, test_seg))
     return cfg, bundle, stats, train_cfg, (tr, va, te)

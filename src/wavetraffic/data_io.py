@@ -22,7 +22,6 @@ __all__ = [
     "save_csv",
     "save_table",
     "synthetic",
-    "synthetic_coupling",
     "save_forecasts",
     "load_forecasts",
     "open_text",
@@ -213,11 +212,6 @@ def synthetic(n_nodes: int, n_steps: int, seed: int = 0) -> np.ndarray:
     return positive[:, None, :]
 
 
-def synthetic_coupling(n_nodes: int, seed: int = 0) -> np.ndarray:
-    """The coupling graph :func:`synthetic` would draw for this seed."""
-    return _synthetic_draws(np.random.default_rng(seed), n_nodes)[3]
-
-
 _FORECAST_COLUMNS = ["t", "node", "step", "y", "pred", "lo", "hi", "covered"]
 
 
@@ -267,7 +261,8 @@ def load_forecasts(path):
             raise DataError(f"{path}: header {line!r} is not "
                             f"{','.join(_FORECAST_COLUMNS)} or its first 5 columns")
         start = fh.tell()
-        if not fh.readline():  # np.loadtxt would warn on an empty body
+        # np.loadtxt skips empty lines and warns when nothing else is left
+        if all(not row.rstrip("\r\n") for row in iter(fh.readline, "")):
             raise DataError(f"{path}: no forecast rows")
         fh.seek(start)
         dtype = [(n, np.int64 if i < 3 else np.float64) for i, n in enumerate(names)]
@@ -279,10 +274,10 @@ def load_forecasts(path):
             raise DataError(f"{path}: {exc}") from None
     keys = np.stack([table[n] for n in names[:3]])
     rows = len(table)
-    nodes, steps = np.clip(keys[1:].max(axis=1, initial=0) + (1, 0), 1, max(rows, 1)).tolist()
+    nodes, steps = np.clip(keys[1:].max(axis=1) + (1, 0), 1, rows).tolist()
     grid = np.stack(_forecast_keys(rows + 1, nodes, steps))
     off = np.flatnonzero((keys != grid[:, :rows]).any(axis=0))
-    if off.size or rows % (nodes * steps) or not rows:  # no rows: blank lines only
+    if off.size or rows % (nodes * steps):
         r = int(off[0]) if off.size else rows
         found = tuple(keys[:, r].tolist()) if r < rows else "the end of the file"
         raise DataError(f"{path}: row {r + 1} after the header should be (t, node, step) "

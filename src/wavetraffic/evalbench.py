@@ -117,8 +117,7 @@ class ErrorTable:
     datasets: list[str]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
+        v = self.values = np.asarray(self.values, dtype=np.float64)
         if v.shape != (len(self.models), len(self.datasets)):
             raise DimensionError(
                 f"error table shape {v.shape} does not match "
@@ -139,19 +138,15 @@ class McbResult:
 
 
 def _rank_column(col: np.ndarray, ties: str) -> np.ndarray:
-    """Ranks with 1 = lowest error; ties get the group's max or mid rank."""
+    """Ranks with 1 = lowest error; a tie group, which holds the ranks left + 1
+    to right of the sorted column, gets its max or mid rank."""
     order = np.sort(col)
-    ranks = np.empty(len(col))
-    for i, v in enumerate(col):
-        eq = order == v
-        if ties == "max":
-            ranks[i] = np.nonzero(eq)[0][-1] + 1
-        elif ties == "mid":
-            idx = np.nonzero(eq)[0]
-            ranks[i] = idx.mean() + 1
-        else:
-            raise ParameterError(f"unknown tie rule {ties!r}")
-    return ranks
+    right = np.searchsorted(order, col, side="right")
+    if ties == "max":
+        return right.astype(np.float64)
+    if ties == "mid":
+        return (np.searchsorted(order, col, side="left") + right + 1) / 2
+    raise ParameterError(f"unknown tie rule {ties!r}")
 
 
 def mcb(table: ErrorTable, gamma: float = 0.05, ties: str = "max") -> McbResult:

@@ -69,7 +69,7 @@ class ModelConfig:
                 f"width {self.width} < cheb_order {self.cheb_order} leaves the "
                 f"spatial attention heads (width // cheb_order) empty"
             )
-        taps = (2 ** self.level - 1) * (len(wavelet.get_filter(self.filter_name)[0]) - 1) + 1
+        taps = wavelet.filter_width(self.filter_name, self.level)
         if taps > self.window:
             raise ParameterError(
                 f"level-{self.level} {self.filter_name} filter has {taps} taps, "
@@ -82,7 +82,7 @@ class ModelConfig:
 
     @property
     def n_components(self) -> int:
-        return self.level + 1 if self.level > 0 else 1
+        return self.level + 1
 
 
 def _uniform(rng, fan_in, shape):

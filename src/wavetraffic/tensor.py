@@ -270,13 +270,8 @@ class Tensor:
 
         return Tensor._result(data, (self,), backward)
 
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            n = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) / n
+    def mean(self, axis: int, keepdims=False):
+        return self.sum(axis=axis, keepdims=keepdims) / self.shape[axis]
 
 
 def _as_tensor(x) -> Tensor:

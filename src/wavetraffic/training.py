@@ -23,7 +23,6 @@ __all__ = [
     "TrainConfig",
     "compute_stats",
     "normalize",
-    "denormalize",
     "split",
     "make_windows",
     "predict_windows",
@@ -88,20 +87,10 @@ def compute_stats(train_x) -> NormalizationStats:
     return NormalizationStats(mean=mean, std=std)
 
 
-def _node_shape(ndim: int):
-    return (-1,) + (1,) * (ndim - 1)
-
-
 def normalize(x, stats: NormalizationStats) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    shape = _node_shape(x.ndim)
+    shape = (-1,) + (1,) * (x.ndim - 1)  # per node, the leading axis
     return (x - stats.mean.reshape(shape)) / stats.std.reshape(shape)
-
-
-def denormalize(x_norm, stats: NormalizationStats) -> np.ndarray:
-    x = np.asarray(x_norm, dtype=np.float64)
-    shape = _node_shape(x.ndim)
-    return x * stats.std.reshape(shape) + stats.mean.reshape(shape)
 
 
 def split(x, spec: SplitSpec = SplitSpec()):
@@ -132,8 +121,6 @@ def make_windows(x, horizon: int = 12):
     if horizon < 1:
         raise ParameterError(f"make_windows: horizon must be positive, got {horizon}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[:, None, :]
     n, c, m = x.shape
     length = ModelConfig.window
     total = length + horizon

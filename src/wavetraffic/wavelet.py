@@ -27,7 +27,7 @@ __all__ = [
     "imodwt",
     "mra",
     "mra_matrices",
-    "equivalent_filters",
+    "filter_width",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -45,6 +45,7 @@ _d4_g = np.array([1.0 + np.sqrt(3.0), 3.0 + np.sqrt(3.0),
 
 # unit-energy base scaling (g) and wavelet (h) taps
 _FILTERS = {"haar": (_haar_g, _qmf(_haar_g)), "d4": (_d4_g, _qmf(_d4_g))}
+FILTER_NAMES = tuple(_FILTERS)  # the names get_filter knows, in lower case
 
 
 def get_filter(name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -57,15 +58,21 @@ def get_filter(name: str) -> tuple[np.ndarray, np.ndarray]:
         ) from None
 
 
-def _check_input(u: np.ndarray, base: int, level: int):
+def filter_width(filt, level: int) -> int:
+    """Taps of ``filt``'s composed level-J filter: (2^J - 1)(L - 1) + 1 for L base taps."""
+    return (2 ** level - 1) * (len(get_filter(filt)[0]) - 1) + 1
+
+
+def _check_input(u: np.ndarray, filt, level: int):
     if level < 1:
         raise ParameterError(f"decomposition level must be >= 1, got {level}")
     length = u.shape[-1]
+    base = filter_width(filt, 1)  # level 1 applies the base filter itself
     if length < base:  # also an empty series
         raise DimensionError(
             f"series length {length} shorter than base filter length {base}"
         )
-    widest = (2 ** level - 1) * (base - 1) + 1
+    widest = filter_width(filt, level)
     if widest > length:
         warnings.warn(
             f"level-{level} equivalent filter ({widest} taps) exceeds series "
@@ -93,7 +100,7 @@ def modwt(u, filt="haar", level: int = 2):
     """
     g, h = get_filter(filt)
     u = np.asarray(u, dtype=np.float64)
-    _check_input(u, len(g), level)
+    _check_input(u, filt, level)
     g, h = g / _SQRT2, h / _SQRT2
     coeffs = []
     v = u
@@ -146,27 +153,3 @@ def mra_matrices(filt, level: int, length: int) -> list[np.ndarray]:
     """
     return [c.T.copy() for c in mra(np.eye(length), filt, level)]
 
-
-def equivalent_filters(filt, level: int):
-    """Composed level-j MODWT filters (wavelet_j, scaling_j) for j=1..J.
-
-    Built by upsampling-and-convolving the base DWT filters and dividing
-    by 2^{j/2}; the direct circular convolution with these taps must
-    agree with the pyramid output, which the tests exercise.
-    """
-    g, h = get_filter(filt)
-    pairs = []
-    g_cascade = np.array([1.0])
-    for j in range(1, level + 1):
-
-        def _upsample(taps, factor):
-            out = np.zeros((len(taps) - 1) * factor + 1)
-            out[::factor] = taps
-            return out
-
-        factor = 2 ** (j - 1)
-        h_j = np.convolve(g_cascade, _upsample(h, factor)) / 2 ** (j / 2.0)
-        g_j = np.convolve(g_cascade, _upsample(g, factor)) / 2 ** (j / 2.0)
-        pairs.append((h_j, g_j))
-        g_cascade = np.convolve(g_cascade, _upsample(g, factor))
-    return pairs

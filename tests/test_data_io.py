@@ -91,7 +91,8 @@ class TestSynthetic:
             assert spectrum.argmax() == 4  # one cycle per day over four days
 
     def test_coupling_is_replayed_exactly(self):
-        coupling = dio.synthetic_coupling(6, seed=3)
+        # the coupling graph ``synthetic`` draws for this seed
+        coupling = dio._synthetic_draws(np.random.default_rng(3), 6)[3]
         np.testing.assert_allclose(coupling, coupling.T)
         assert np.all(coupling.sum(axis=1) >= 1.0)
         np.testing.assert_array_equal(np.diag(coupling), np.zeros(6))
@@ -243,14 +244,15 @@ class TestForecastIo:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no forecast rows$"):
             dio.load_forecasts(path)
 
-    def test_blank_body_rejected(self, tmp_path):
-        # np.loadtxt skips blank lines, so this body parses to no rows
+    @pytest.mark.filterwarnings("error")
+    def test_blank_body_rejected(self, tmp_path, capfd):
+        # np.loadtxt skips blank lines, so these bodies hold no rows
         path = tmp_path / "fc.csv"
-        path.write_text("t,node,step,y,pred\n\n\n")
-        with pytest.warns(UserWarning, match="input contained no data"), \
-                pytest.raises(DataError, match=r"row 1 after the header should be \(t, node, step\) "
-                                               r"\(0, 0, 1\), found the end of the file$"):
-            dio.load_forecasts(path)
+        for body in ["\n\n", "\r\n\r\n\r\n", "\n"]:
+            path.write_bytes(("t,node,step,y,pred\n" + body).encode())
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no forecast rows$"):
+                dio.load_forecasts(path)
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("column, value", [
         ("y", "nan"), ("pred", "nan"), ("pred", "inf"), ("y", "-inf"),

@@ -140,6 +140,17 @@ class TestTukeyTable:
         assert "xi" not in message
 
 
+def loop_rank_column(col, ties):
+    """Ranks by one scan of the sorted column per entry, the reference for
+    ``evalbench._rank_column``."""
+    order = np.sort(col)
+    ranks = np.empty(len(col))
+    for i, v in enumerate(col):
+        idx = np.nonzero(order == v)[0]
+        ranks[i] = idx[-1] + 1 if ties == "max" else idx.mean() + 1
+    return ranks
+
+
 class TestErrorTable:
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
@@ -175,6 +186,19 @@ class TestMcb:
     def test_midrank_option(self):
         result = ev.mcb(self._table([[3.0], [1.0], [1.0]]), ties="mid")
         np.testing.assert_array_equal(result.mean_ranks, [3.0, 1.5, 1.5])
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                              st.floats(0.0, 10.0)), min_size=1, max_size=12),
+           st.sampled_from(["max", "mid"]))
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_match_the_per_entry_scan(self, values, ties):
+        # ranks are integers or halves, so both ways give them exactly
+        col = np.array(values)
+        np.testing.assert_array_equal(ev._rank_column(col, ties), loop_rank_column(col, ties))
+
+    def test_unknown_tie_rule(self):
+        with pytest.raises(ParameterError, match="unknown tie rule 'min'"):
+            ev.mcb(self._table([[3.0], [1.0]]), ties="min")
 
     def test_critical_distance_formula(self):
         values = np.abs(np.random.default_rng(3).normal(size=(5, 8))) + 0.1

@@ -7,6 +7,31 @@ from wavetraffic import wavelet as wv
 from wavetraffic.errors import DimensionError, ParameterError
 
 
+def equivalent_filters(filt, level: int):
+    """Composed level-j MODWT filters (wavelet_j, scaling_j) for j=1..J.
+
+    Built by upsampling-and-convolving the base DWT filters and dividing
+    by 2^{j/2}; the direct circular convolution with these taps must
+    agree with the pyramid output.
+    """
+    g, h = wv.get_filter(filt)
+    pairs = []
+    g_cascade = np.array([1.0])
+    for j in range(1, level + 1):
+
+        def _upsample(taps, factor):
+            out = np.zeros((len(taps) - 1) * factor + 1)
+            out[::factor] = taps
+            return out
+
+        factor = 2 ** (j - 1)
+        h_j = np.convolve(g_cascade, _upsample(h, factor)) / 2 ** (j / 2.0)
+        g_j = np.convolve(g_cascade, _upsample(g, factor)) / 2 ** (j / 2.0)
+        pairs.append((h_j, g_j))
+        g_cascade = np.convolve(g_cascade, _upsample(g, factor))
+    return pairs
+
+
 def brute_modwt(u, filt, level):
     """Direct circular convolution with the composed level-j filters.
 
@@ -16,7 +41,7 @@ def brute_modwt(u, filt, level):
     """
     u = np.asarray(u, dtype=np.float64)
     m = len(u)
-    pairs = wv.equivalent_filters(filt, level)
+    pairs = equivalent_filters(filt, level)
     coeffs = []
     for h_j, _ in pairs:
         coeffs.append(np.array([
@@ -44,6 +69,12 @@ class TestFilters:
         g, h = wv.get_filter(name)
         np.testing.assert_array_equal(h, (-1.0) ** np.arange(len(g)) * g[::-1])
         assert abs(g @ h) < 1e-12
+
+    @pytest.mark.parametrize("name", ["haar", "d4"])
+    def test_filter_width_is_the_composed_filter_length(self, name):
+        for level in range(1, 5):
+            h_j, g_j = equivalent_filters(name, level)[-1]
+            assert wv.filter_width(name, level) == len(h_j) == len(g_j)
 
     def test_lookup_returns_taps(self):
         g, h = wv.get_filter("haar")
