@@ -7,12 +7,15 @@ closure. Each closure keeps only the arrays its backward reads, so an
 output that no closure reads is freed as soon as the forward drops its
 ``Tensor``; what the closures keep lives until the caller drops the loss.
 Calling ``Graph.backward`` on a scalar loss walks the nodes once in
-reverse topological order and runs each closure, which adds the node's
-gradient into its parents. An intermediate node's gradient is released
-as soon as its closure has handed it on; leaves (parameters and tensors
-made with ``requires_grad=True``) keep theirs. Inside ``no_grad()``
-operations record no graph. All arithmetic is float64 and fully
-deterministic.
+reverse topological order and runs each closure, which hands the node's
+gradient on to its parents. A node keeps the first array it is handed and
+adds later ones into it in place, so each closure hands each parent an
+array that no other node holds and that the closure does not write after:
+``+``, ``concat`` and ``attention_logits``' bias copy where two holders
+would share one. An intermediate node's gradient is released as soon as
+its closure has handed it on; leaves (parameters and tensors made with
+``requires_grad=True``) keep theirs. Inside ``no_grad()`` operations
+record no graph. All arithmetic is float64 and fully deterministic.
 """
 
 from __future__ import annotations
@@ -113,16 +116,12 @@ class _Node:
         self._parents = parents
         self._backward = backward
 
-    def _accumulate(self, grad, owned=False):
-        """Add ``grad`` to this node's gradient.
-
-        The first gradient is copied, since several parents may be handed
-        views of one array, unless ``owned`` marks a fresh array that the
-        calling closure made for this parent alone: that one is kept.
-        """
+    def _accumulate(self, grad):
+        """Add ``grad`` to this node's gradient: the first array is kept, not
+        copied, and later ones are added into it in place. So ``grad`` must
+        be held by no other node, nor written by the closure that hands it."""
         if self.grad is None:
-            owned = owned and type(grad) is np.ndarray  # a full sum can give a numpy scalar
-            self.grad = grad if owned else np.array(grad, dtype=np.float64)
+            self.grad = np.asarray(grad)  # a full sum can give a numpy scalar
         else:
             self.grad += grad
 
@@ -171,19 +170,12 @@ class Tensor:
         self._node.grad = value
 
     @property
-    def _parents(self):
-        return () if self._node is None else self._node._parents
-
-    @property
     def _backward(self):
         return None if self._node is None else self._node._backward
 
     @_backward.setter
     def _backward(self, backward):
         self._node._backward = backward
-
-    def _accumulate(self, grad, owned=False):
-        self._node._accumulate(grad, owned)
 
     @staticmethod
     def _result(data, parents, backward):
@@ -205,12 +197,13 @@ class Tensor:
         other = _as_tensor(other)
         data = self.data + other.data
         na, nb, sa, sb = self._node, other._node, self.shape, other.shape
+        shared = na is not None and nb is not None and sa == sb == data.shape  # views of one g
 
         def backward(g):
             if na is not None:
                 na._accumulate(_unbroadcast(g, sa))
             if nb is not None:
-                nb._accumulate(_unbroadcast(g, sb))
+                nb._accumulate(np.array(g) if shared else _unbroadcast(g, sb))
 
         return Tensor._result(data, (self, other), backward)
 
@@ -224,9 +217,9 @@ class Tensor:
 
         def backward(g):
             if na is not None:
-                na._accumulate(_unbroadcast(g * b, sa), owned=True)
+                na._accumulate(_unbroadcast(g * b, sa))
             if nb is not None:
-                nb._accumulate(_unbroadcast(g * a, sb), owned=True)
+                nb._accumulate(_unbroadcast(g * a, sb))
 
         return Tensor._result(data, (self, other), backward)
 
@@ -266,7 +259,7 @@ class Tensor:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            node._accumulate(np.broadcast_to(g, shape).copy(), owned=True)
+            node._accumulate(np.broadcast_to(g, shape).copy())
 
         return Tensor._result(data, (self,), backward)
 
@@ -300,10 +293,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if na is not None:
             ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
-            na._accumulate(_unbroadcast(ga, sa), owned=True)
+            na._accumulate(_unbroadcast(ga, sa))
         if nb is not None:
             gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
-            nb._accumulate(_unbroadcast(gb, sb), owned=True)
+            nb._accumulate(_unbroadcast(gb, sb))
 
     return Tensor._result(data, (a, b), backward)
 
@@ -324,9 +317,9 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if na is not None:
-            na._accumulate(np.einsum(f"{out_sub},{sb}->{sa}", g, b_data), owned=True)
+            na._accumulate(np.einsum(f"{out_sub},{sb}->{sa}", g, b_data))
         if nb is not None:
-            nb._accumulate(np.einsum(f"{out_sub},{sa}->{sb}", g, a_data), owned=True)
+            nb._accumulate(np.einsum(f"{out_sub},{sa}->{sb}", g, a_data))
 
     return Tensor._result(data, (a, b), backward)
 
@@ -342,7 +335,7 @@ def concat(tensors, axis: int) -> Tensor:
             if node is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                node._accumulate(g[tuple(idx)])
+                node._accumulate(np.array(g[tuple(idx)]))  # the slice has gaps: copy it compact
 
     return Tensor._result(data, tuple(tensors), backward)
 
@@ -354,7 +347,7 @@ def relu(t: Tensor) -> Tensor:
     data = np.where(mask, t.data, 0.0)
 
     def backward(g):
-        node._accumulate(g * mask, owned=True)
+        node._accumulate(g * mask)
 
     return Tensor._result(data, (t,), backward)
 
@@ -397,7 +390,7 @@ def softmax_last(t: Tensor) -> Tensor:
     data = _softmax(t.data)
 
     def backward(g):
-        node._accumulate(_softmax_grad(data, g), owned=True)
+        node._accumulate(_softmax_grad(data, g))
 
     return Tensor._result(data, (t,), backward)
 
@@ -425,16 +418,17 @@ def attention_logits(q: Tensor, k: Tensor, bias: Tensor, scale: float) -> Tensor
     nq, nk, nbias = q._node, k._node, bias._node
     q_shape, k_t_shape, bias_shape = q.shape, k_t.shape, bias.shape
     q_data, k_data = _saved(q, k), _saved(k, q)
+    bias_view = bias_shape == data.shape  # the bias gradient is g itself, not a sum
 
     def backward(g):
-        if nbias is not None:
-            nbias._accumulate(_unbroadcast(g, bias_shape))  # a copy or a sum, taken before g scales
+        if nbias is not None:  # copied or summed before g scales
+            nbias._accumulate(np.array(g) if bias_view else _unbroadcast(g, bias_shape))
         g *= scale  # this node's own gradient, which no one reads after this closure
         if nq is not None:
-            nq._accumulate(_unbroadcast(np.matmul(g, k_data), q_shape), owned=True)
+            nq._accumulate(_unbroadcast(np.matmul(g, k_data), q_shape))
         if nk is not None:
             gk_t = _unbroadcast(np.matmul(np.swapaxes(q_data, -1, -2), g), k_t_shape)
-            nk._accumulate(np.swapaxes(gk_t, -1, -2), owned=True)
+            nk._accumulate(np.swapaxes(gk_t, -1, -2))
 
     return Tensor._result(data, (q, k, bias), backward)
 
@@ -449,10 +443,10 @@ def softmax_matmul(logits: Tensor, v: Tensor) -> Tensor:
 
     def backward(g):
         if nv is not None:
-            nv._accumulate(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v_shape), owned=True)
+            nv._accumulate(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v_shape))
         if nl is not None:
             dp = np.matmul(g, np.swapaxes(v_data, -1, -2))
-            nl._accumulate(_softmax_grad(p, dp, out=dp), owned=True)
+            nl._accumulate(_softmax_grad(p, dp, out=dp))
 
     return Tensor._result(data, (logits, v), backward)
 
@@ -494,7 +488,7 @@ def gated_tanh_pool(q: Tensor, c: int, window: int) -> Tensor:
         gg *= sg
         gg *= 1.0 - sg
         gq[..., c:, :] = gg
-        node._accumulate(gq, owned=True)
+        node._accumulate(gq)
 
     return Tensor._result(data, (q,), backward)
 
@@ -523,28 +517,27 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
         if nt is not None:
             gn = _unbroadcast(g * gain_data, t_shape)
             dot = (gn * normed).sum(axis=-1, keepdims=True) * scale
-            nt._accumulate(inv * (gn - gn.sum(axis=-1, keepdims=True) * scale - normed * dot),
-                           owned=True)
+            nt._accumulate(inv * (gn - gn.sum(axis=-1, keepdims=True) * scale - normed * dot))
         if ngain is not None:
-            ngain._accumulate(_unbroadcast(g * normed, gain_shape), owned=True)
+            ngain._accumulate(_unbroadcast(g * normed, gain_shape))
         if nbias is not None:
             nbias._accumulate(_unbroadcast(g, bias_shape))
 
     return Tensor._result(data, (t, gain, bias), backward)
 
 
-def conv1d(t: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv1d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Valid (no-padding) convolution along the last axis.
 
-    ``t`` has shape (..., C_in, T), ``kernel`` (C_out, C_in, s); the
-    output is (..., C_out, T_out) with T_out = T - s + 1.
+    ``t`` has shape (..., C_in, T), ``kernel`` (C_out, C_in, s) and ``bias``
+    (C_out,); the output is (..., C_out, T_out) with T_out = T - s + 1.
     Taps are applied in cross-correlation order.
 
     Lowered to one matrix product (im2col): every output step's input
     window becomes one row of a (rows, C_in*s) matrix, rows running over
     the leading axes and T_out.
     """
-    t, kernel = _as_tensor(t), _as_tensor(kernel)
+    t, kernel, bias = _as_tensor(t), _as_tensor(kernel), _as_tensor(bias)
     c_out, c_in, s = kernel.shape
     if t.shape[-2] != c_in:
         raise DimensionError(
@@ -563,11 +556,9 @@ def conv1d(t: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         return np.swapaxes(windows, -2, -3).reshape(-1, c_in * s)
 
     rows = columns(t.data) @ w.T  # (rows, C_out)
-    if bias is not None:
-        bias = _as_tensor(bias)
-        rows += bias.data
+    rows += bias.data
     data = np.swapaxes(rows.reshape(lead + (t_out, c_out)), -1, -2)
-    nt, nk, nb = t._node, kernel._node, None if bias is None else bias._node
+    nt, nk, nb = t._node, kernel._node, bias._node
     t_shape, t_order, k_shape = t.shape, _axis_order(t.data), kernel.shape
     x = _saved(t, kernel)
 
@@ -575,18 +566,17 @@ def conv1d(t: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         # the column matrix is rebuilt here rather than kept alive with the graph
         g_rows = np.swapaxes(g, -1, -2).reshape(-1, c_out)
         if nk is not None:
-            nk._accumulate((g_rows.T @ columns(x)).reshape(k_shape), owned=True)
+            nk._accumulate((g_rows.T @ columns(x)).reshape(k_shape))
         if nt is not None:
             g_cols = (g_rows @ w).reshape(lead + (t_out, c_in, s))
             gx = _new(np.zeros, t_shape, t_order)
             for l in range(s):  # col2im: tap l read input steps l .. l + T_out - 1
                 gx[..., l : l + t_out] += np.swapaxes(g_cols[..., l], -1, -2)
-            nt._accumulate(gx, owned=True)
+            nt._accumulate(gx)
         if nb is not None:
-            nb._accumulate(g_rows.sum(axis=0), owned=True)
+            nb._accumulate(g_rows.sum(axis=0))
 
-    parents = (t, kernel) if bias is None else (t, kernel, bias)
-    return Tensor._result(data, parents, backward)
+    return Tensor._result(data, (t, kernel, bias), backward)
 
 
 def huber_value(err: np.ndarray, delta: float) -> np.ndarray:
@@ -609,7 +599,7 @@ def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
     n = err.size
 
     def backward(g):
-        node._accumulate(g * np.clip(err, -delta, delta) / n, owned=True)
+        node._accumulate(g * np.clip(err, -delta, delta) / n)
 
     return Tensor._result(huber_value(err, delta).mean(), (pred,), backward)
 

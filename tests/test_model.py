@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import COMPOSED_OPS
+from conftest import COMPOSED_OPS, copying_accumulate
 from wavetraffic import tensor as T
 from wavetraffic import training
 from wavetraffic.errors import DimensionError, ParameterError
@@ -228,6 +228,23 @@ class TestFusedOpsLeaveModelBitsUnchanged:
         assert [r["val_mae"] for r in fused.log] == [r["val_mae"] for r in composed.log]
 
 
+class TestKeptGradientsLeaveModelBitsUnchanged:
+    """A node keeps the gradient it is handed instead of copying it: one
+    training step's gradients are the bits of the rule that copied every
+    first gradient."""
+
+    @pytest.mark.parametrize("scale", sorted(_SCALES))
+    def test_step_gradients(self, scale, monkeypatch):
+        setup = TestFusedOpsLeaveModelBitsUnchanged._setup(scale)
+        kept = TestFusedOpsLeaveModelBitsUnchanged._run(*setup)
+        monkeypatch.setattr(T._Node, "_accumulate", copying_accumulate)
+        copied = TestFusedOpsLeaveModelBitsUnchanged._run(*setup)
+        assert np.array_equal(kept[0], copied[0])
+        assert kept[2].keys() == copied[2].keys()
+        for name, grad in kept[2].items():
+            assert np.array_equal(grad, copied[2][name]), name
+
+
 class TestAttentionProperties:
     def test_all_attention_rows_stochastic(self, toy_model):
         x = _window_batch(toy_model.cfg, seed=5)
@@ -382,7 +399,7 @@ class TestBackwardReleasesGradients:
     def test_only_leaves_keep_a_gradient(self):
         model, x, target = self._small_step()
         loss = T.huber_loss(model.forward(x), target)
-        nodes, seen, stack = [], set(), [loss]
+        nodes, seen, stack = [], set(), [loss._node]
         while stack:
             node = stack.pop()
             if id(node) not in seen:
@@ -432,13 +449,13 @@ class TestForwardFreesUnreadOutputs:
 
     def test_forward_retains_less_than_its_recorded_outputs(self, monkeypatch):
         model, x, target = TestBackwardReleasesGradients._small_step()
-        owned = []
+        fresh = []
         record = T.Tensor.__dict__["_result"].__func__
 
         def counted(data, parents, backward):
             out = record(data, parents, backward)
             if out._backward is not None and out.data.flags.owndata:
-                owned.append(out.data.nbytes)
+                fresh.append(out.data.nbytes)
             return out
 
         monkeypatch.setattr(T.Tensor, "_result", staticmethod(counted))
@@ -449,8 +466,8 @@ class TestForwardFreesUnreadOutputs:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert loss.requires_grad and len(owned) > 50
-        assert retained <= 0.8 * sum(owned), (retained, sum(owned))
+        assert loss.requires_grad and len(fresh) > 50
+        assert retained <= 0.8 * sum(fresh), (retained, sum(fresh))
 
 
 class TestCheckpoint:

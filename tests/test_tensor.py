@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_grads_close, composed_attention_logits, composed_gated_tanh_pool,
-    composed_softmax_matmul, finite_difference, gradcheck_op, ref_avg_pool_last, ref_index,
-    ref_power, ref_sigmoid, ref_sub, ref_tanh,
+    composed_softmax_matmul, copying_accumulate, finite_difference, gradcheck_op,
+    ref_avg_pool_last, ref_index, ref_power, ref_sigmoid, ref_sub, ref_tanh,
 )
 from wavetraffic import tensor as T
 from wavetraffic import training
@@ -243,7 +243,7 @@ class TestConv1d:
     def test_output_length(self):
         x = Tensor(_rand((1, 12), 11))
         k = Tensor(_rand((1, 1, 3), 12))
-        assert T.conv1d(x, k).shape == (1, 10)
+        assert T.conv1d(x, k, Tensor(np.zeros(1))).shape == (1, 10)
 
     def test_zero_input_gives_bias(self):
         k = Tensor(_rand((2, 1, 3), 13))
@@ -255,7 +255,7 @@ class TestConv1d:
         taps = np.array([1.0, -2.0, 3.0])
         x = np.zeros((1, 9))
         x[0, 4] = 1.0
-        out = T.conv1d(Tensor(x), Tensor(taps.reshape(1, 1, 3))).data[0]
+        out = T.conv1d(Tensor(x), Tensor(taps.reshape(1, 1, 3)), Tensor(np.zeros(1))).data[0]
         # direct valid-convolution oracle
         expected = np.array([
             sum(taps[l] * x[0, t + l] for l in range(3)) for t in range(7)
@@ -265,23 +265,23 @@ class TestConv1d:
 
     def test_kernel_longer_than_input(self):
         with pytest.raises(DimensionError):
-            T.conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))))
+            T.conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros(1)))
 
     @given(st.integers(1, 24), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_length_formula(self, m, s):
         if s > m:
             return
-        out = T.conv1d(Tensor(np.zeros((1, m))), Tensor(np.zeros((1, 1, s))))
+        out = T.conv1d(Tensor(np.zeros((1, m))), Tensor(np.zeros((1, 1, s))), Tensor(np.zeros(1)))
         assert out.shape[-1] == m - s + 1
 
-    @pytest.mark.parametrize("with_bias", [True, False])
-    def test_gradient(self, with_bias):
+    @pytest.mark.parametrize("bias_grad", [True, False])
+    def test_gradient(self, bias_grad):
         x = Tensor(_rand((2, 2, 9), 14), requires_grad=True)
         k = Tensor(_rand((3, 2, 3), 15), requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True) if with_bias else None
+        b = Tensor(np.zeros(3), requires_grad=bias_grad)
         w = _rand((2, 3, 9 - 3 + 1), 16)
-        params = [x, k, b] if with_bias else [x, k]
+        params = [x, k, b] if bias_grad else [x, k]
         gradcheck_op(lambda: (T.conv1d(x, k, b) * w).sum(), params)
 
 
@@ -290,22 +290,20 @@ def _einsum_conv1d(x, kernel, bias, g):
     the output, then the input, kernel and bias gradients for upstream ``g``."""
     c_out, c_in, s = kernel.shape
     windows = np.lib.stride_tricks.sliding_window_view(x, s, axis=-1)
-    out = np.einsum("ocl,...ctl->...ot", kernel, windows)
-    if bias is not None:
-        out = out + bias[:, None]
+    out = np.einsum("ocl,...ctl->...ot", kernel, windows) + bias[:, None]
     t_out = out.shape[-1]
     gk = np.einsum("bot,bctl->ocl", g.reshape(-1, c_out, t_out),
                    windows.reshape(-1, c_in, t_out, s))
     gx = np.zeros_like(x)
     for l in range(s):
         gx[..., l : l + t_out] += np.einsum("oc,...ot->...ct", kernel[:, :, l], g)
-    gb = None if bias is None else g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,))
+    gb = g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,))
     return out, gx, gk, gb
 
 
 class TestConv1dMatchesEinsumKernel:
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (2, 1, 3)])
-    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("bias_grad", [True, False])
     @pytest.mark.parametrize("c_out, c_in, s, length", [
         (4, 3, 3, 11),  # C_out != C_in
         (2, 5, 7, 7),  # kernel as long as the input: one output step
@@ -317,18 +315,21 @@ class TestConv1dMatchesEinsumKernel:
         (8, 2, 3, 64),  # long series: many windows per row block
         (16, 8, 2, 12),  # a gated branch: C_out = 2 C_in over a 12-step window
     ])
-    def test_output_and_gradients(self, lead, with_bias, c_out, c_in, s, length):
+    def test_output_and_gradients(self, lead, bias_grad, c_out, c_in, s, length):
+        # without a bias gradient the bias is a zero constant
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=lead + (c_in, length)), requires_grad=True)
         k = Tensor(rng.normal(size=(c_out, c_in, s)), requires_grad=True)
-        b = Tensor(rng.normal(size=c_out), requires_grad=True) if with_bias else None
+        b = (Tensor(rng.normal(size=c_out), requires_grad=True) if bias_grad
+             else Tensor(np.zeros(c_out)))
         out = T.conv1d(x, k, b)
         g = rng.normal(size=out.shape)
         out._backward(g)
-        ref = _einsum_conv1d(x.data, k.data, None if b is None else b.data, g)
-        got = (out.data, x.grad, k.grad, None if b is None else b.grad)
+        ref = _einsum_conv1d(x.data, k.data, b.data, g)
+        got = (out.data, x.grad, k.grad, b.grad)
         for name, a, r in zip(("output", "input grad", "kernel grad", "bias grad"), got, ref):
-            if r is None:
+            if name == "bias grad" and not bias_grad:
+                assert a is None  # the constant bias gets no gradient
                 continue
             assert a.shape == r.shape, name
             assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
@@ -340,8 +341,8 @@ class TestNoGrad:
         p = g.parameter("p", _rand((3, 4), 40))
         k = g.parameter("k", _rand((2, 3, 2), 41))
         with T.no_grad():
-            out = T.conv1d(ref_tanh(p * 2.0), k).sum()
-        assert out._parents == () and out._backward is None and not out.requires_grad
+            out = T.conv1d(ref_tanh(p * 2.0), k, Tensor(np.zeros(2))).sum()
+        assert out._node is None and out._backward is None and not out.requires_grad
 
     def test_mode_restored_after_nesting_and_errors(self):
         p = Tensor(np.ones(2), requires_grad=True)
@@ -349,11 +350,11 @@ class TestNoGrad:
             with T.no_grad():
                 pass
             assert (p * 2.0)._backward is None  # still off after the inner block
-        assert (p * 2.0)._parents[0] is p._node
+        assert (p * 2.0)._node._parents[0] is p._node
         with pytest.raises(ValueError):
             with T.no_grad():
                 raise ValueError("inside")
-        assert (p * 2.0)._parents[0] is p._node
+        assert (p * 2.0)._node._parents[0] is p._node
 
 
 class TestClosuresKeepOnlyWhatTheyRead:
@@ -402,28 +403,40 @@ class TestFirstAccumulation:
 
 
 class TestGradientHandover:
-    """Closures hand fresh gradients to a single parent without a copy; any
-    gradient that reaches several parents must still not alias."""
+    """A node keeps the first gradient it is handed, so each closure hands a
+    parent an array that no other node holds: no two gradients may alias."""
 
-    def test_owned_first_gradient_is_kept(self):
+    def test_first_gradient_is_kept(self):
         t = Tensor(np.zeros(3), requires_grad=True)
-        fresh = np.ones(3)
-        t._accumulate(fresh, owned=True)
-        assert t.grad is fresh
-        t._accumulate(fresh, owned=True)
-        np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
+        first, second = np.ones(3), np.full(3, 2.0)
+        t._node._accumulate(first)
+        assert t.grad is first
+        t._node._accumulate(second)
+        assert t.grad is first
+        np.testing.assert_array_equal(t.grad, [3.0, 3.0, 3.0])
+        np.testing.assert_array_equal(second, [2.0, 2.0, 2.0])
 
-    def test_owned_numpy_scalar_becomes_an_array(self):
+    def test_numpy_scalar_becomes_an_array(self):
         t = Tensor(0.0, requires_grad=True)
-        t._accumulate(np.float64(2.0), owned=True)
-        assert isinstance(t.grad, np.ndarray) and t.grad.shape == ()
+        t._node._accumulate(np.float64(2.0))
+        assert isinstance(t.grad, np.ndarray) and t.grad.shape == () and t.grad == 2.0
 
-    @pytest.mark.parametrize("case", ["add_self", "matmul_self_transpose", "concat_slices",
-                                      "reshape_transpose", "parameter_twice"])
-    def test_matches_finite_differences(self, case):
+    # the last five are ops where one gradient array could reach two holders
+    _CASES = ["add_self", "matmul_self_transpose", "concat_slices", "reshape_transpose",
+              "parameter_twice", "add_pair", "concat_self", "attention_logits_full_bias",
+              "layer_norm_full_bias", "reshape_and_matmul"]
+
+    @staticmethod
+    def _leaves_and_losses():
         a = Tensor(_rand((3, 4), 60), requires_grad=True)
         b = Tensor(_rand((4, 3), 61), requires_grad=True)
-        losses = {
+
+        def reshape_and_matmul():
+            y = a * 2.0
+            return ((y.reshape(2, 6) * _rand((2, 6), 95)).sum()
+                    + (T.matmul(y, b) * _rand((3, 3), 96)).sum())
+
+        return a, b, {
             "add_self": lambda: ((a + a) * _rand((3, 4), 62)).sum(),
             "matmul_self_transpose": lambda: (T.matmul(a, a.transpose((1, 0)))
                                               * _rand((3, 3), 63)).sum(),
@@ -435,8 +448,35 @@ class TestGradientHandover:
             "parameter_twice": lambda: (ref_tanh(T.matmul(a, b)) * _rand((3, 3), 66)).sum()
                                        + T.layer_norm(b, Tensor(1.0), Tensor(0.0)).sum()
                                        + (b * b).sum(),
+            "add_pair": lambda: ((a + b.transpose((1, 0))) * _rand((3, 4), 90)).sum()
+                                + (a * a).sum(),
+            "concat_self": lambda: (T.concat([a, a], axis=0) * _rand((6, 4), 91)).sum()
+                                   + (a * b.transpose((1, 0))).sum(),
+            "attention_logits_full_bias": lambda: (T.attention_logits(
+                a, b.transpose((1, 0)), T.matmul(a, b), 0.5) * _rand((3, 3), 92)).sum(),
+            "layer_norm_full_bias": lambda: (T.layer_norm(
+                b.transpose((1, 0)), Tensor(_rand((4,), 93)), a) * _rand((3, 4), 94)).sum()
+                                            + (a * a).sum(),
+            "reshape_and_matmul": reshape_and_matmul,
         }
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_matches_finite_differences(self, case):
+        a, b, losses = self._leaves_and_losses()
         gradcheck_op(losses[case], [a, b])
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_matches_the_copying_rule(self, case, monkeypatch):
+        def grads():
+            a, b, losses = self._leaves_and_losses()
+            Graph().backward(losses[case]())
+            return [p.grad for p in (a, b) if p.grad is not None]
+
+        kept = grads()
+        monkeypatch.setattr(T._Node, "_accumulate", copying_accumulate)
+        copied = grads()
+        assert len(kept) == len(copied) and all(map(np.array_equal, kept, copied))
+        assert len(kept) < 2 or not np.shares_memory(*kept)
 
     @staticmethod
     def _shared_graph_grads():
@@ -648,6 +688,36 @@ class TestPurity:
         a = T.softmax_last(T.matmul(x, x)).data
         b = T.softmax_last(T.matmul(x, x)).data
         assert np.array_equal(a, b)
+
+
+class TestViewsAreHandedOn:
+    """``reshape`` and ``transpose`` hand their parent a view of their own
+    gradient, which the parent keeps with no copy; ``concat`` hands copies."""
+
+    @staticmethod
+    def _handed_gradient(out, seed):
+        """Backward from a weighted sum of ``out``; the gradient its closure got."""
+        handed = []
+        inner = out._backward
+        out._backward = lambda g: (handed.append(g), inner(g))
+        Graph().backward((out * _rand(out.shape, seed)).sum())
+        return handed[0]
+
+    @pytest.mark.parametrize("op", [lambda t: t.reshape(2, 6), lambda t: t.transpose((1, 0)),
+                                    lambda t: t.reshape(12).transpose((0,)).reshape(6, 2)],
+                             ids=["reshape", "transpose", "through_three_nodes"])
+    def test_parent_gradient_shares_the_handed_array(self, op):
+        x = Tensor(_rand((3, 4), 102), requires_grad=True)
+        handed = self._handed_gradient(op(x), 103)
+        assert np.shares_memory(x.grad, handed)
+
+    def test_concat_hands_compact_copies(self):
+        # the slices of the gradient have gaps: each input gets its own compact copy
+        x = Tensor(_rand((3, 4), 104), requires_grad=True)
+        y = Tensor(_rand((3, 2), 105), requires_grad=True)
+        handed = self._handed_gradient(T.concat([x, y, x], axis=1), 106)
+        for t in (x, y):
+            assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, handed)
 
 
 # exported by the engine but not graph ops
