@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 runtime/data error, 2 usage error. Every
 subcommand is deterministic for fixed inputs, flags, and seeds.
 
-A ``--config`` file sets the fields of ``ModelConfig`` and ``TrainConfig``
-that flags set, plus ``horizon``; flags win.
+Settings enter by flags only: each flag of ``train`` and ``sweep-level``
+sets the ``ModelConfig`` or ``TrainConfig`` field of its name, and a flag
+left out keeps that field's default.
 """
 
 from __future__ import annotations
@@ -22,18 +23,9 @@ from . import conformal as cp
 from . import data_io, evalbench, training, wavelet
 from .errors import DataError, ParameterError, WavetrafficError
 from .graph import GraphBundle, StadMatrix, StrgMask, build_graph_bundle, scaled_laplacian
-from .model import (
-    Model, ModelConfig, load_checkpoint, parse_settings, save_checkpoint, settings_schema,
-)
+from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 
 __all__ = ["main", "build_parser"]
-
-
-def _read_config_file(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such config file: {path}")
-    return parse_settings(p.read_bytes(), {**_MODEL_KEYS, **_TRAIN_KEYS}, path)
 
 
 def _parse_split(text: str) -> training.SplitSpec:
@@ -47,17 +39,10 @@ def _parse_split(text: str) -> training.SplitSpec:
     return training.SplitSpec(*(p / total for p in parts))
 
 
-# nodes comes from the data
-_MODEL_KEYS = {key: cast for key, cast in settings_schema(ModelConfig).items() if key != "nodes"}
-_TRAIN_KEYS = settings_schema(training.TrainConfig)
-
-
-def _resolve(args, file_cfg: dict, keys) -> dict:
-    """The settings among ``keys`` given by a flag or, failing that, the config file."""
-    out = {key: file_cfg[key] for key in keys if key in file_cfg}
-    out.update({key: getattr(args, key) for key in keys
-                if getattr(args, key, None) is not None})
-    return out
+def _config(cls, args, **given):
+    """A ``cls`` from ``given`` and the fields that a flag set; the rest keep defaults."""
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    return cls(**given, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _add_model_flags(sub, level=True):
@@ -73,7 +58,6 @@ def _add_model_flags(sub, level=True):
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--config", default=None, help="key=value config file")
     sub.add_argument("--epochs", type=int, default=None)
     sub.add_argument("--lr", type=float, default=None)
     sub.add_argument("--batch-size", dest="batch_size", type=int, default=None)
@@ -112,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--segment", default="all", choices=["all", "train", "val", "test"])
-    p.add_argument("--split", default="6:2:2")
+    p.add_argument("--split", default="6:2:2", help="the train:val:test ratio train used")
 
     # no abbreviations: --level would otherwise be read as --levels
     p = sub.add_parser("sweep-level", help="train once per wavelet level, compare MAPE",
@@ -172,18 +156,14 @@ def _cmd_build_graph(args) -> int:
 
 
 def _prepare_training(args):
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    if "levels" in args and "level" in file_cfg:
-        raise ParameterError(f"{args.config}: sweep-level takes no level setting; "
-                             f"its levels come from --levels")
-    train_cfg = training.TrainConfig(**_resolve(args, file_cfg, _TRAIN_KEYS))
+    train_cfg = _config(training.TrainConfig, args)
     split_spec = _parse_split(args.split)
     x = data_io.load_csv(args.data)
     train_seg, val_seg, test_seg = training.split(x, split_spec)
     stats = training.compute_stats(train_seg)
-    cfg = ModelConfig(nodes=len(x), **_resolve(args, file_cfg, _MODEL_KEYS))
+    cfg = _config(ModelConfig, args, nodes=len(x))  # nodes comes from the data
     bundle = build_graph_bundle(train_seg[:, 0, :], p_sp=args.p_sp)
-    tr, va, te = (training.make_windows(training.normalize(seg, stats), cfg.horizon)
+    tr, va, te = (training.make_windows(training.normalize(seg, stats))
                   for seg in (train_seg, val_seg, test_seg))
     return cfg, bundle, stats, train_cfg, (tr, va, te)
 
@@ -255,7 +235,7 @@ def _cmd_forecast(args) -> int:
         segs = dict(zip(("train", "val", "test"), training.split(x, _parse_split(args.split))))
         x = segs[args.segment]
     cfg = model.cfg
-    windows = training.make_windows(training.normalize(x, stats), cfg.horizon)
+    windows = training.make_windows(training.normalize(x, stats))
     y, pred = training.predict_windows(model, windows, stats)
     data_io.save_forecasts(args.out, y, pred)
     print(f"wrote {len(y)} x {cfg.nodes} x {cfg.horizon} forecasts to {args.out}")

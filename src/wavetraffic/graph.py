@@ -9,7 +9,6 @@ it from the bundle's Laplacian with :func:`chebyshev_basis`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +137,8 @@ def scaled_laplacian(a_stag) -> ScaledLaplacian:
     if bad:
         raise ParameterError(f"scaled_laplacian: adjacency has {bad} non-finite entries")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > 1e-9:
-        raise DimensionError(f"scaled_laplacian: input asymmetric by {asym:.3g}")
     if asym > 0.0:
-        warnings.warn(f"symmetrizing adjacency (max asymmetry {asym:.3g})", stacklevel=2)
-        a = 0.5 * (a + a.T)
+        raise DimensionError(f"scaled_laplacian: input asymmetric by {asym:.3g}")
     if np.any(a < 0):
         raise ParameterError("scaled_laplacian: adjacency entries must be nonnegative")
     lap = np.diag(a.sum(axis=1)) - a

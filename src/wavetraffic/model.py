@@ -9,8 +9,8 @@ horizon. Everything is built on the reverse-mode engine in
 :mod:`wavetraffic.tensor`, so one backward pass yields gradients for
 every registered weight.
 
-A checkpoint's config and the CLI's ``--config`` files are ``key=value``
-lines typed by the config dataclass fields (:func:`parse_settings`).
+A checkpoint's config is one ``key=value`` line per settable field of
+:class:`ModelConfig` (:func:`format_settings`, :func:`parse_settings`).
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .errors import DataError, DimensionError, ParameterError
 from .graph import GraphBundle, chebyshev_basis
 from .tensor import Graph, Tensor
 
-__all__ = ["ModelConfig", "Model", "save_checkpoint", "load_checkpoint", "settings_schema",
-           "parse_settings", "format_settings"]
+__all__ = ["ModelConfig", "Model", "save_checkpoint", "load_checkpoint"]
 
 
 @dataclass
@@ -43,9 +42,9 @@ class ModelConfig:
     level: int = 2  # wavelet decomposition level; 0 disables the transform
     cheb_order: int = 3
     channels: int = 32
-    horizon: int = 12
     filter_name: str = "haar"
 
+    horizon: typing.ClassVar[int] = 12  # forecast steps: one hour at 5-minute sampling
     # the gated branches' pooled lengths (12-s+1)/2 = 5, 4, 3 sum back to the window
     window: typing.ClassVar[int] = 12
     kernel_sizes: typing.ClassVar[tuple] = (3, 5, 7)
@@ -54,8 +53,7 @@ class ModelConfig:
     eps: typing.ClassVar[float] = 1e-8  # layer-norm variance floor
 
     def __post_init__(self):
-        for name in ("nodes", "blocks", "width", "heads", "cheb_order",
-                     "channels", "horizon"):
+        for name in ("nodes", "blocks", "width", "heads", "cheb_order", "channels"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"ModelConfig.{name} must be positive")
         if self.level < 0:
@@ -316,12 +314,6 @@ class Model:
 
 # -- checkpointing ---------------------------------------------------------
 
-def settings_schema(cls) -> dict[str, type]:
-    """Setting name -> annotated type for every field of a config dataclass."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-
-
 def _text(data: bytes, source) -> str:
     try:
         return data.decode()
@@ -329,25 +321,24 @@ def _text(data: bytes, source) -> str:
         raise DataError(f"{source}: not UTF-8 text") from None
 
 
-def parse_settings(data: bytes, schema: dict[str, type], source) -> dict:
-    """Typed values of the ``key=value`` lines of ``data``.
+def parse_settings(data: bytes, source) -> dict:
+    """Typed values of the ``key=value`` lines that :func:`format_settings`
+    writes for a :class:`ModelConfig`.
 
-    Blank lines and ``#`` comments are skipped. Each value is cast by its
-    ``schema`` type. A line without ``=``, an unknown or repeated key and a
-    value that does not cast raise ``DataError`` prefixed by ``source``.
+    Each value is cast by its field's annotated type. A line without ``=``
+    (a blank one too), an unknown or repeated key and a value that does not
+    cast raise ``DataError`` prefixed by ``source``.
     """
+    hints = typing.get_type_hints(ModelConfig)
+    schema = {f.name: hints[f.name] for f in dataclasses.fields(ModelConfig)}
     raw = {}
     for line in _text(data, source).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         key, sep, value = line.partition("=")
-        key = key.strip()
         if not sep:
             raise DataError(f"{source}: malformed line {line!r}")
         if key in raw:
             raise DataError(f"{source}: repeated key {key!r}")
-        raw[key] = value.strip()
+        raw[key] = value
     unknown = [key for key in raw if key not in schema]
     if unknown:
         raise DataError(f"{source}: unknown key(s): {', '.join(unknown)}")
@@ -366,9 +357,6 @@ def format_settings(settings) -> str:
     """The ``key=value`` lines of a config dataclass, in field order."""
     return "".join(f"{f.name}={getattr(settings, f.name)}\n"
                    for f in dataclasses.fields(settings))
-
-
-_MODEL_SCHEMA = settings_schema(ModelConfig)
 
 
 def _zip_entry(name: str) -> zipfile.ZipInfo:
@@ -416,7 +404,7 @@ def load_checkpoint(path):
             raise DataError(f"{path}: {exc}") from None
 
     with zf:
-        settings = parse_settings(read("config.txt"), _MODEL_SCHEMA, "checkpoint config")
+        settings = parse_settings(read("config.txt"), "checkpoint config")
         if "nodes" not in settings:
             raise DataError("checkpoint config: no nodes entry")
         cfg = ModelConfig(**settings)

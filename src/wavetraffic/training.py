@@ -112,17 +112,16 @@ def split(x, spec: SplitSpec = SplitSpec()):
     )
 
 
-def make_windows(x, horizon: int = 12):
+def make_windows(x):
     """Sliding (input, target) pairs from a (N, c, M_seg) segment.
 
     Inputs are (W, N, c, L) with L = ``ModelConfig.window``; targets
-    (W, N, horizon) taken from channel 0 starting right at each input's end.
+    (W, N, ``ModelConfig.horizon``) taken from channel 0 starting right at
+    each input's end.
     """
-    if horizon < 1:
-        raise ParameterError(f"make_windows: horizon must be positive, got {horizon}")
     x = np.asarray(x, dtype=np.float64)
     n, c, m = x.shape
-    length = ModelConfig.window
+    length, horizon = ModelConfig.window, ModelConfig.horizon
     total = length + horizon
     if m < total:
         raise DimensionError(

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import re
 import shlex
 import zipfile
@@ -11,7 +13,7 @@ from conftest import per_stream_bands
 from wavetraffic import conformal as cp
 from wavetraffic import cli, data_io, training, wavelet
 from wavetraffic.cli import build_parser, main
-from wavetraffic.model import load_checkpoint, save_checkpoint
+from wavetraffic.model import ModelConfig, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -129,41 +131,60 @@ class TestTrainAndForecast:
         assert "block0.gc.theta0" in err and "missing parameter(s): block0.gc.theta" in err
         assert not (tmp_path / "out.csv").exists()
 
-    def test_config_file_with_flag_precedence(self, dataset, tmp_path):
-        data_path, _ = dataset
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
-            "epochs=7\nlr=1e-3\nblocks=1\nwidth=3\nchannels=2\nlevel=1\n"
-        )
-        out = tmp_path / "run"
-        # --epochs flag must beat the config file's 7
-        assert main(["train", "--data", str(data_path), "--out", str(out),
-                     "--config", str(cfg_file), "--epochs", "1",
-                     "--batch-size", "64", "--p-sp", "0.5"]) == 0
-        with open(out / "log.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 2
-        cfg, _, _ = load_checkpoint(out / "checkpoint.bin")
-        assert cfg.blocks == 1 and cfg.width == 3
 
-    def test_config_file_sets_every_key(self, dataset, tmp_path):
-        settings = {
-            "blocks": 1, "width": 4, "heads": 2, "level": 1, "cheb_order": 2,
-            "channels": 2, "horizon": 6, "filter_name": "d4",
-            "epochs": 2, "lr": 1e-3, "batch_size": 64, "huber_delta": 0.5, "seed": 3,
-        }
-        assert sorted(cli._MODEL_KEYS.keys() | cli._TRAIN_KEYS.keys()) == sorted(settings)
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+def _subcommand(name):
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def _setting_names():
+    """The config fields that flags set; ``nodes`` comes from the data."""
+    return ({f.name for f in dataclasses.fields(ModelConfig)} - {"nodes"}
+            | {f.name for f in dataclasses.fields(training.TrainConfig)})
+
+
+class TestSettingsFlags:
+    # the destinations of the flags that set no config field
+    _OTHER = {"help", "data", "out", "split", "p_sp", "levels"}
+
+    @pytest.mark.parametrize("command, unset", [("train", set()), ("sweep-level", {"level"})],
+                             ids=["train", "sweep-level"])
+    def test_one_flag_per_setting(self, command, unset):
+        actions = [a for a in _subcommand(command)._actions if a.dest not in self._OTHER]
+        assert sorted(a.dest for a in actions) == sorted(_setting_names() - unset)
+        # a flag default would override the dataclass default
+        assert all(a.default is None for a in actions)
+
+    # a valid value other than the default for each settings flag
+    _NON_DEFAULT = [
+        ("--blocks", "2", "blocks", 2), ("--width", "6", "width", 6),
+        ("--heads", "11", "heads", 11), ("--level", "1", "level", 1),
+        ("--cheb-order", "2", "cheb_order", 2), ("--channels", "5", "channels", 5),
+        ("--filter", "d4", "filter_name", "d4"), ("--epochs", "3", "epochs", 3),
+        ("--lr", "0.002", "lr", 0.002), ("--batch-size", "16", "batch_size", 16),
+        ("--huber-delta", "0.5", "huber_delta", 0.5), ("--seed", "7", "seed", 7),
+    ]
+
+    @pytest.mark.parametrize("flag, text, field, value", _NON_DEFAULT,
+                             ids=[flag for flag, *_ in _NON_DEFAULT])
+    def test_flag_reaches_its_setting(self, dataset, tmp_path, monkeypatch, flag, text, field,
+                                      value):
+        received = []
+
+        def no_training(model, train_windows, val_windows, cfg):
+            received.append(cfg)
+            state = model.graph.state()
+            return training.FitResult(best_state=state, final_state=state)
+        monkeypatch.setattr(training, "fit", no_training)
         data_path, _ = dataset
         out = tmp_path / "run"
-        assert main(["train", "--data", str(data_path), "--out", str(out),
-                     "--config", str(cfg_file), "--p-sp", "0.5"]) == 0
-        cfg, _, _ = load_checkpoint(out / "checkpoint.bin")
-        for key in cli._MODEL_KEYS:
-            assert getattr(cfg, key) == settings[key]
-        with open(out / "log.csv", newline="") as fh:
-            assert len(list(csv.reader(fh))) == 1 + settings["epochs"]
+        assert main(["train", "--data", str(data_path), "--out", str(out), flag, text]) == 0
+        defaults = {"model": ModelConfig(nodes=4), "train": training.TrainConfig()}
+        owner = "model" if hasattr(defaults["model"], field) else "train"
+        assert getattr(defaults[owner], field) != value
+        expected = {**defaults, owner: dataclasses.replace(defaults[owner], **{field: value})}
+        assert load_checkpoint(out / "checkpoint.bin")[0] == expected["model"]
+        assert received == [expected["train"]]
 
 
 @pytest.fixture(scope="module")
@@ -339,18 +360,6 @@ class TestSweepLevel:
         assert "unrecognized arguments: --level 7" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_level_in_config_file_is_an_error(self, dataset, tmp_path, capsys):
-        data_path, _ = dataset
-        cfg_file = tmp_path / "sweep.cfg"
-        cfg_file.write_text("epochs=1\nlevel=7\n")
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep-level", "--data", str(data_path), "--levels", "1",
-                     "--config", str(cfg_file), "--out", str(out), *_FAST_SWEEP]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "level" in err and "--levels" in err
-        assert not out.exists()
-
-
     def test_too_wide_level_fails_before_any_training(self, dataset, tmp_path, capsys,
                                                       monkeypatch):
         # level 3 of d4 is a 22-tap filter on the 12-step window; levels 1 and 2 fit
@@ -397,39 +406,14 @@ class TestMalformedInput:
                              "--split", split, *_FAST_TRAIN], capsys,
                             f"split must be three positive numbers a:b:c, got {split!r}")
 
-    @pytest.mark.parametrize("text, message", [
-        (b"epochs=abc\n", "bad value epochs='abc', expected int"),
-        (b"epoch=7\nlr=1e-3\npatience=3\n", "unknown key(s): epoch, patience"),
-        (b"epochs=2\nlr=1e-3\nepochs=3\n", "repeated key 'epochs'"),
-        (b"epochs 2\n", "malformed line 'epochs 2'"),
-        (b"lr=1e-3\n# \xff\n", "not UTF-8 text"),
-        (b"nodes=4\n", "unknown key(s): nodes"),
-        (b"kernel_sizes=3,5,7\n", "unknown key(s): kernel_sizes"),
-        (b"window=12\n", "unknown key(s): window"),
-        (b"pool_window=2\nin_channels=1\neps=1e-08\n",
-         "unknown key(s): pool_window, in_channels, eps"),
-    ], ids=["wrong_type", "unknown_key", "repeated_key", "no_equals", "not_utf8", "nodes",
-            "kernel_sizes", "window", "constants"])
-    def test_config_file_faults(self, dataset, tmp_path, capsys, text, message):
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "nan"], "lr=nan"),
+        (["--lr", "inf"], "lr=inf"),
+        (["--huber-delta", "nan"], "huber_delta=nan"),
+        (["--lr", "inf", "--huber-delta", "nan"], "lr=inf, huber_delta=nan"),
+    ], ids=["lr_nan", "lr_inf", "huber_delta_nan", "lr_inf_and_huber_delta_nan"])
+    def test_non_finite_training_setting(self, dataset, tmp_path, capsys, flags, message):
         data_path, _ = dataset
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_bytes(text)
-        self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path / "run"),
-                             "--config", str(cfg_file)], capsys, f"{cfg_file}: {message}")
-        assert not (tmp_path / "run").exists()
-
-    @pytest.mark.parametrize("flags, config, message", [
-        (["--lr", "nan"], None, "lr=nan"),
-        (["--lr", "inf"], None, "lr=inf"),
-        (["--huber-delta", "nan"], None, "huber_delta=nan"),
-        ([], "lr=inf\nhuber_delta=nan\n", "lr=inf, huber_delta=nan"),
-    ], ids=["lr_nan", "lr_inf", "huber_delta_nan", "config_file"])
-    def test_non_finite_training_setting(self, dataset, tmp_path, capsys, flags, config,
-                                         message):
-        data_path, _ = dataset
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config)
-            flags = ["--config", str(tmp_path / "run.cfg")]
         self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path / "run"),
                              *flags], capsys, f"invalid training configuration: {message}")
         assert not (tmp_path / "run").exists()
@@ -445,9 +429,16 @@ class TestMalformedInput:
                             "width 3 < cheb_order 4")
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("command", ["build-graph", "train", "sweep-level"])
-    def test_stad_window_is_not_an_option(self, dataset, tmp_path, capsys, command):
-        # the distance graph is built from the whole training series
+    @pytest.mark.parametrize("command, removed", [
+        ("build-graph", ["--stad-window", "100"]),
+        ("train", ["--stad-window", "100"]),
+        ("sweep-level", ["--stad-window", "100"]),
+        ("train", ["--config", "run.cfg"]),
+        ("sweep-level", ["--config", "run.cfg"]),
+    ], ids=["build-graph", "train", "sweep-level", "train-config", "sweep-level-config"])
+    def test_stad_window_is_not_an_option(self, dataset, tmp_path, capsys, command, removed):
+        # the distance graph is built from the whole training series, and
+        # settings enter by flags only
         data_path, _ = dataset
         out = tmp_path / "out"
         fast = _FAST_SWEEP if command == "sweep-level" else _FAST_TRAIN
@@ -455,9 +446,9 @@ class TestMalformedInput:
                     if command == "build-graph"
                     else ["--data", str(data_path), "--out", str(out), *fast])
         with pytest.raises(SystemExit) as exc:
-            main([command, *io_flags, "--stad-window", "100"])
+            main([command, *io_flags, *removed])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --stad-window 100" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha", [18, 19])
@@ -488,6 +479,10 @@ class TestMalformedInput:
         ("constants_in_config",
          "checkpoint config: unknown key(s): pool_window, in_channels, eps"),
         ("geometry_in_config", "checkpoint config: unknown key(s): kernel_sizes, window"),
+        ("horizon_in_config", "checkpoint config: unknown key(s): horizon"),
+        ("config_line_without_equals", "checkpoint config: malformed line 'blocks 1'"),
+        ("config_blank_line", "checkpoint config: malformed line ''"),
+        ("config_comment_line", "checkpoint config: malformed line '# saved by hand'"),
         ("repeated_config_key", "checkpoint config: repeated key 'blocks'"),
         ("bad_config_value", "checkpoint config: bad value blocks='one', expected int"),
         ("config_not_utf8", "checkpoint config: not UTF-8 text"),
@@ -531,7 +526,15 @@ class TestMalformedInput:
             # the lines a checkpoint written before the geometry became constant carries
             "geometry_in_config": ("config.txt", lambda data: data.replace(
                 b"channels=", b"kernel_sizes=3,5,7\nchannels=").replace(
-                b"horizon=", b"window=12\nhorizon=")),
+                b"filter_name=", b"window=12\nfilter_name=")),
+            # the line a checkpoint written before the horizon became constant carries
+            "horizon_in_config": ("config.txt", lambda data: data.replace(
+                b"filter_name=", b"horizon=12\nfilter_name=")),
+            "config_line_without_equals": ("config.txt",
+                                           lambda data: data.replace(b"blocks=1", b"blocks 1")),
+            # the parser reads only what the writer writes: no blank or comment lines
+            "config_blank_line": ("config.txt", lambda data: data + b"\n"),
+            "config_comment_line": ("config.txt", lambda data: b"# saved by hand\n" + data),
             "repeated_config_key": ("config.txt", lambda data: data + b"blocks=2\n"),
             "config_not_utf8": ("config.txt", lambda data: data + b"\xff\n"),
             "bad_config_value": ("config.txt",
@@ -683,8 +686,11 @@ def test_readme_cli_quick_start_parses():
 
 
 def test_readme_config_keys_match_schema():
-    # the documented --config keys are exactly the settings the parser accepts
+    # the documented settings flags are exactly the flags that set a config field
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    listing = re.search(r"typed by their annotations:(.*?)\.", readme, re.S).group(1)
-    keys = re.findall(r"`(\w+)`", listing)
-    assert sorted(keys) == sorted(cli._MODEL_KEYS.keys() | cli._TRAIN_KEYS.keys())
+    listing = re.search(r"The settings flags are(.*?)\.\n", readme, re.S).group(1)
+    documented = re.findall(r"`(--[\w-]+)`", listing)
+    fields = _setting_names()
+    flags = [flag for action in _subcommand("train")._actions if action.dest in fields
+             for flag in action.option_strings]
+    assert sorted(documented) == sorted(flags) and len(flags) == len(fields)

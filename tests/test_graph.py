@@ -222,11 +222,11 @@ class TestScaledLaplacian:
         with pytest.raises(DimensionError):
             G.scaled_laplacian(a)
 
-    def test_tiny_asymmetry_symmetrized_with_warning(self):
+    def test_tiny_asymmetry_rejected(self):
+        # every producer of an adjacency writes it exactly symmetric
         a = np.array([[0.0, 1.0], [1.0 + 5e-10, 0.0]])
-        with pytest.warns(UserWarning, match="symmetrizing"):
-            lap = G.scaled_laplacian(a)
-        np.testing.assert_allclose(lap.matrix, lap.matrix.T)
+        with pytest.raises(DimensionError, match="input asymmetric by 5e-10"):
+            G.scaled_laplacian(a)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ParameterError):

@@ -488,7 +488,7 @@ class TestCheckpoint:
     def test_every_field_round_trips(self, tmp_path):
         default = ModelConfig(nodes=1)
         cfg = ModelConfig(nodes=5, blocks=2, width=4, heads=2, level=1, cheb_order=2,
-                          channels=3, horizon=5, filter_name="d4")
+                          channels=3, filter_name="d4")
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
         save_checkpoint(tmp_path / "model.bin", cfg, {})
         loaded, state, extras = load_checkpoint(tmp_path / "model.bin")
@@ -496,10 +496,11 @@ class TestCheckpoint:
 
     def test_settable_fields(self):
         assert [f.name for f in fields(ModelConfig)] == [
-            "nodes", "blocks", "width", "heads", "level", "cheb_order", "channels", "horizon",
-            "filter_name",
+            "nodes", "blocks", "width", "heads", "level", "cheb_order", "channels", "filter_name",
         ]
-        for constant in ({"pool_window": 2}, {"window": 6}, {"kernel_sizes": (3, 5)}):
+        assert ModelConfig.horizon == 12
+        for constant in ({"pool_window": 2}, {"window": 6}, {"kernel_sizes": (3, 5)},
+                         {"horizon": 6}):
             with pytest.raises(TypeError):
                 ModelConfig(nodes=4, **constant)
 

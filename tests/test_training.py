@@ -78,11 +78,11 @@ class TestSplit:
             tr.split(np.zeros((1, 3)), tr.SplitSpec(0.6, 0.2, 0.2))
 
 
-def _loop_windows(x, horizon):
+def _loop_windows(x):
     """``make_windows`` as one slice per window start, the reference for the
     sliding-window views."""
     x = np.asarray(x, dtype=np.float64)
-    length, m = ModelConfig.window, x.shape[-1]
+    length, horizon, m = ModelConfig.window, ModelConfig.horizon, x.shape[-1]
     starts = range(m - length - horizon + 1)
     return (np.stack([x[:, :, s : s + length] for s in starts]),
             np.stack([x[:, 0, s + length : s + length + horizon] for s in starts]))
@@ -117,24 +117,12 @@ class TestWindows:
         with pytest.raises(DimensionError):
             tr.make_windows(np.zeros((2, 1, 23)))
 
-    def test_horizon_sets_target_length(self):
-        x = np.arange(30.0)[None, None, :]
-        inputs, targets = tr.make_windows(x, horizon=3)
-        assert inputs.shape == (16, 1, 1, 12) and targets.shape == (16, 1, 3)
-        np.testing.assert_array_equal(targets[-1, 0], [27.0, 28.0, 29.0])
-
-    @pytest.mark.parametrize("horizon", [0, -1])
-    def test_nonpositive_horizon_rejected(self, horizon):
-        with pytest.raises(ParameterError, match=f"horizon must be positive, got {horizon}"):
-            tr.make_windows(np.zeros((2, 1, 40)), horizon=horizon)
-
     @pytest.mark.parametrize("channels", [1, 2])
-    @pytest.mark.parametrize("horizon", [1, 3, 12])
-    def test_equals_the_per_window_loop(self, horizon, channels):
-        x = np.random.default_rng(horizon).normal(size=(3, channels, 60))
+    def test_equals_the_per_window_loop(self, channels):
+        x = np.random.default_rng(12).normal(size=(3, channels, 60))
         # a chronological split hands over a strided view
         segment = tr.split(x)[0]
-        got, ref = tr.make_windows(segment, horizon), _loop_windows(segment, horizon)
+        got, ref = tr.make_windows(segment), _loop_windows(segment)
         for a, r in zip(got, ref):
             assert a.flags.c_contiguous and a.dtype == r.dtype and np.array_equal(a, r)
 
