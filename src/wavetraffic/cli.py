@@ -22,7 +22,8 @@ import numpy as np
 from . import conformal as cp
 from . import data_io, evalbench, training, wavelet
 from .errors import DataError, ParameterError, WavetrafficError
-from .graph import GraphBundle, StadMatrix, StrgMask, build_graph_bundle, scaled_laplacian
+from .graph import (GraphBundle, StadMatrix, StrgMask, build_graph_bundle, build_stag,
+                    scaled_laplacian)
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 
 __all__ = ["main", "build_parser"]
@@ -168,24 +169,17 @@ def _prepare_training(args):
     return cfg, bundle, stats, train_cfg, (tr, va, te)
 
 
-def _checkpoint_extras(stats, bundle):
-    return {
-        "norm_mean": stats.mean,
-        "norm_std": stats.std,
-        "a_stad": bundle.stad.adjacency,
-        "strg_mask": bundle.strg.mask,
-        "a_stag": bundle.a_stag,
-    }
-
-
 def _cmd_train(args) -> int:
     cfg, bundle, stats, train_cfg, (tr, va, _te) = _prepare_training(args)
     model = Model(cfg, bundle, seed=train_cfg.seed)
     result = training.fit(model, tr, va, train_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / "checkpoint.bin", cfg, result.best_state,
-                    extras=_checkpoint_extras(stats, bundle))
+    # what training measured; forecast derives the rest as build_graph_bundle does
+    save_checkpoint(out / "checkpoint.bin", cfg, result.best_state, extras={
+        "norm_mean": stats.mean, "norm_std": stats.std,
+        "a_stad": bundle.stad.adjacency, "strg_mask": bundle.strg.mask,
+    })
     columns = ["epoch", "train_loss", "val_loss", "val_mae", "wall_seconds"]
     log = [[row[key] for key in columns] for row in result.log]
     data_io.save_table(out / "log.csv", np.reshape(log, (-1, len(columns))), header=columns)
@@ -196,8 +190,7 @@ def _cmd_train(args) -> int:
 def _model_from_checkpoint(path):
     cfg, state, extras = load_checkpoint(path)
     n = cfg.nodes
-    shapes = {"a_stad": (n, n), "strg_mask": (n, n), "a_stag": (n, n),
-              "norm_mean": (n,), "norm_std": (n,)}
+    shapes = {"a_stad": (n, n), "strg_mask": (n, n), "norm_mean": (n,), "norm_std": (n,)}
     missing = sorted(shapes.keys() - extras.keys())
     if missing:
         raise DataError(f"{path}: checkpoint lacks {', '.join(f'extra/{m}' for m in missing)}")
@@ -213,13 +206,15 @@ def _model_from_checkpoint(path):
     bad = np.count_nonzero((mask != 0) & (mask != 1))
     if bad:
         raise DataError(f"{path}: extra/strg_mask has {bad} entries other than 0 and 1")
+    a_stad = extras["a_stad"]
+    # build_stad's output is symmetric and nonnegative, as scaled_laplacian needs build_stag's
+    bad = np.count_nonzero((a_stad != a_stad.T) | (a_stad < 0))
+    if bad:
+        raise DataError(f"{path}: extra/a_stad has {bad} negative or asymmetric entries")
     stats = training.NormalizationStats(mean=extras["norm_mean"], std=std)
-    a_stag = extras["a_stag"]
-    try:
-        lap = scaled_laplacian(a_stag)
-    except WavetrafficError as exc:
-        raise type(exc)(f"{path}: extra/a_stag: {exc}") from None
-    bundle = GraphBundle(StadMatrix(extras["a_stad"]), StrgMask(mask), a_stag, lap)
+    stad, strg = StadMatrix(a_stad), StrgMask(mask)
+    a_stag = build_stag(stad, strg)
+    bundle = GraphBundle(stad, strg, a_stag, scaled_laplacian(a_stag))
     model = Model(cfg, bundle)
     model.graph.load_state(state)
     return model, stats
@@ -305,8 +300,12 @@ def _cmd_mcb(args) -> int:
         except ValueError as exc:
             raise DataError(f"{args.table}: row {r}: {exc}") from None
         models.append(row[0])
-    table = evalbench.ErrorTable(np.asarray(values), models, header[1:])
-    result = evalbench.mcb(table, gamma=args.gamma, ties=args.ties)
+    try:
+        table = evalbench.ErrorTable(np.reshape(values, (len(models), len(header) - 1)),
+                                     models, header[1:])
+        result = evalbench.mcb(table, gamma=args.gamma, ties=args.ties)
+    except WavetrafficError as exc:
+        raise type(exc)(f"{args.table}: {exc}") from None
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "mean_rank", "interval_lo", "interval_hi",

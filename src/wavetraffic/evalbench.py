@@ -123,8 +123,11 @@ class ErrorTable:
                 f"error table shape {v.shape} does not match "
                 f"{len(self.models)} models x {len(self.datasets)} datasets"
             )
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ParameterError("error table entries must be finite and nonnegative")
+        bad = np.argwhere(~np.isfinite(v) | (v < 0))
+        if len(bad):
+            i, j = bad[0]
+            raise ParameterError(f"error table entry {self.models[i]!r}, {self.datasets[j]!r} "
+                                 f"is {v[i, j]}; entries must be finite and nonnegative")
 
 
 @dataclass

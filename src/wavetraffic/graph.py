@@ -49,7 +49,6 @@ class ScaledLaplacian:
     """(2 / lambda_max) (D - A) - I, spectrum inside [-1, 1]."""
 
     matrix: np.ndarray
-    lambda_max: float
 
 
 @dataclass
@@ -147,7 +146,7 @@ def scaled_laplacian(a_stag) -> ScaledLaplacian:
         lam = 2.0
     n = a.shape[0]
     scaled = (2.0 / lam) * lap - np.eye(n)
-    return ScaledLaplacian(matrix=scaled, lambda_max=lam)
+    return ScaledLaplacian(matrix=scaled)
 
 
 def chebyshev_basis(lap: ScaledLaplacian, order: int) -> np.ndarray:

@@ -404,9 +404,9 @@ def load_checkpoint(path):
             raise DataError(f"{path}: {exc}") from None
 
     with zf:
-        settings = parse_settings(read("config.txt"), "checkpoint config")
+        settings = parse_settings(read("config.txt"), f"{path}: checkpoint config")
         if "nodes" not in settings:
-            raise DataError("checkpoint config: no nodes entry")
+            raise DataError(f"{path}: checkpoint config: no nodes entry")
         cfg = ModelConfig(**settings)
         state, extras = {}, {}
         for line in _text(read("manifest.txt"), f"{path}: manifest").strip().splitlines():

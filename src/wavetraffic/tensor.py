@@ -129,12 +129,11 @@ class _Node:
 class Tensor:
     """A float64 array, with a graph node when it needs a gradient."""
 
-    __slots__ = ("data", "_node", "name", "__weakref__")
+    __slots__ = ("data", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self._node = _Node() if requires_grad else None
-        self.name = name
 
     @property
     def shape(self):
@@ -152,8 +151,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
     # -- graph bookkeeping: the node's fields, read through its tensor -----
 
@@ -271,9 +269,9 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(data, name=None) -> Tensor:
+def constant(data) -> Tensor:
     """A non-learnable graph input."""
-    return Tensor(data, requires_grad=False, name=name)
+    return Tensor(data, requires_grad=False)
 
 
 # -- free functions --------------------------------------------------------
@@ -607,31 +605,28 @@ def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
 class Graph:
     """Parameter registry plus the reverse pass over a recorded forward.
 
-    Parameters are named ``Tensor``s with ``requires_grad=True``; after
-    ``backward`` the gradient store maps each registered name to an
-    array of the parameter's shape.
+    Parameters are ``Tensor``s with ``requires_grad=True``, registered by
+    name; each keeps its gradient in ``.grad``.
     """
 
     def __init__(self):
         self.parameters: dict[str, Tensor] = {}
-        self.gradients: dict[str, np.ndarray] = {}
 
     def parameter(self, name: str, data) -> Tensor:
         if name in self.parameters:
             raise ParameterError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True, name=name)
+        t = Tensor(data, requires_grad=True)
         self.parameters[name] = t
         return t
 
     def zero_grad(self):
         for p in self.parameters.values():
             p.grad = None
-        self.gradients = {}
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
         """Run every closure between ``loss`` and the leaves, each once, in
-        reverse topological order over the graph nodes; returns the
-        gradient store.
+        reverse topological order over the graph nodes; returns a new dict
+        of each parameter's gradient by name, zeros where none reached it.
 
         Each closure's node gives up its gradient right after the closure
         has run: no closure reads it again, so at most the gradients of the
@@ -662,11 +657,8 @@ class Graph:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
-        self.gradients = {
-            name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in self.parameters.items()
-        }
-        return self.gradients
+        return {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+                for name, p in self.parameters.items()}
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters.items()}

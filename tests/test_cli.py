@@ -84,8 +84,8 @@ class TestTrainAndForecast:
         cfg, state, extras = load_checkpoint(trained / "checkpoint.bin")
         assert cfg.blocks == 1 and cfg.level == 1 and cfg.nodes == 4
         assert state  # parameters present
-        for key in ("norm_mean", "norm_std", "a_stad", "strg_mask", "a_stag"):
-            assert key in extras
+        # what training measured; forecast derives a_stag from a_stad and strg_mask
+        assert sorted(extras) == ["a_stad", "norm_mean", "norm_std", "strg_mask"]
         with open(trained / "log.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_loss", "val_mae", "wall_seconds"]
@@ -130,6 +130,61 @@ class TestTrainAndForecast:
         err = capsys.readouterr().err
         assert "block0.gc.theta0" in err and "missing parameter(s): block0.gc.theta" in err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_forecast_ignores_a_stored_a_stag(self, trained, dataset, tmp_path):
+        # checkpoints written before a_stag was derived carry it; forecast
+        # rebuilds it from a_stad and strg_mask, so a stored one changes nothing
+        cfg, state, extras = load_checkpoint(trained / "checkpoint.bin")
+        old = tmp_path / "old.bin"
+        save_checkpoint(old, cfg, state, {**extras, "a_stag": np.ones((4, 4))})
+        data_path, _ = dataset
+        outputs = []
+        for checkpoint in (trained / "checkpoint.bin", old):
+            out = tmp_path / f"{checkpoint.stem}.csv"
+            assert main(["forecast", "--checkpoint", str(checkpoint), "--data", str(data_path),
+                         "--segment", "val", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def trained_six(tmp_path_factory):
+    # at --p-sp 0.5 each of the six rows keeps three entries, so a_stad
+    # reaches the Laplacian; at the default 0.01 only the diagonal is kept
+    data_path = tmp_path_factory.mktemp("data6") / "six.csv"
+    data_io.save_csv(data_path, data_io.synthetic(6, 700, seed=5))
+    out = tmp_path_factory.mktemp("run6")
+    assert main(["train", "--data", str(data_path), "--out", str(out), *_FAST_TRAIN]) == 0
+    return data_path, out / "checkpoint.bin"
+
+
+def _flip_unlinked_pair(mask):
+    # an off-diagonal entry whose pair is unlinked both ways, so the
+    # max-symmetrized graph gains an edge
+    i, j = np.argwhere(mask + mask.T == 0)[0]
+    flipped = mask.copy()
+    flipped[i, j] = 1.0
+    return flipped
+
+
+@pytest.mark.parametrize("extra, change", [
+    ("a_stad", lambda a: a ** 2),  # a uniform scale would leave the scaled Laplacian as it is
+    ("norm_mean", lambda m: m + 1.0),
+    ("norm_std", lambda s: s * 2.0),
+    ("strg_mask", _flip_unlinked_pair),
+], ids=["a_stad", "norm_mean", "norm_std", "strg_mask"])
+def test_every_stored_extra_reaches_the_forecast(trained_six, tmp_path, extra, change):
+    data_path, checkpoint = trained_six
+    cfg, state, extras = load_checkpoint(checkpoint)
+    changed = tmp_path / "changed.bin"
+    save_checkpoint(changed, cfg, state, {**extras, extra: change(extras[extra])})
+    outputs = []
+    for path in (checkpoint, changed):
+        out = tmp_path / f"{path.stem}.csv"
+        code = main(["forecast", "--checkpoint", str(path), "--data", str(data_path),
+                     "--segment", "val", "--out", str(out)])
+        outputs.append(out.read_bytes() if code == 0 else code)
+    assert outputs[0] != outputs[1]
 
 
 def _subcommand(name):
@@ -398,6 +453,7 @@ class TestMalformedInput:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        return err
 
     @pytest.mark.parametrize("split", ["6:2:x", "0:0:0"])
     def test_bad_split(self, dataset, tmp_path, capsys, split):
@@ -493,7 +549,7 @@ class TestMalformedInput:
         ("missing_entry", "checkpoint has no entry 'tensors/block0.gc.theta'"),
         ("short_tensor", "tensor 'block0.gc.theta' has"),
         ("missing_extra", "checkpoint lacks extra/norm_mean"),
-        ("a_stag_too_wide", "extra/a_stag has shape (5, 5), expected (4, 4) for 4 nodes"),
+        ("a_stad_too_wide", "extra/a_stad has shape (5, 5), expected (4, 4) for 4 nodes"),
         ("a_stad_not_square", "extra/a_stad has shape (4, 3), expected (4, 4)"),
         ("strg_mask_flat", "extra/strg_mask has shape (16,), expected (4, 4)"),
         ("norm_mean_length_one", "extra/norm_mean has shape (1,), expected (4,)"),
@@ -505,9 +561,9 @@ class TestMalformedInput:
         ("strg_mask_all_nan", "tensor 'extra/strg_mask' has 16 non-finite entries"),
         ("strg_mask_fractional", "extra/strg_mask has 4 entries other than 0 and 1"),
         ("a_stag_nan", "tensor 'extra/a_stag' has 3 non-finite entries"),
-        ("a_stag_asymmetric", "extra/a_stag: scaled_laplacian: input asymmetric by 0.5"),
-        ("a_stag_negative",
-         "extra/a_stag: scaled_laplacian: adjacency entries must be nonnegative"),
+        ("a_stad_nan", "tensor 'extra/a_stad' has 3 non-finite entries"),
+        ("a_stad_asymmetric", "extra/a_stad has 6 negative or asymmetric entries"),
+        ("a_stad_negative", "extra/a_stad has 4 negative or asymmetric entries"),
         ("norm_mean_nan", "tensor 'extra/norm_mean' has 1 non-finite entries"),
         ("wq_nan", "tensor 'block0.wta.wq' has 1 non-finite entries"),
         ("time_w_inf", "tensor 'pred.time_w' has 1 non-finite entries"),
@@ -547,7 +603,7 @@ class TestMalformedInput:
                 line for line in data.split(b"\n") if not line.startswith(b"extra/norm_mean"))),
         }
         bad_extras = {
-            "a_stag_too_wide": ("a_stag", np.eye(5)),
+            "a_stad_too_wide": ("a_stad", np.eye(5)),
             "a_stad_not_square": ("a_stad", np.ones((4, 3))),
             "strg_mask_flat": ("strg_mask", np.ones(16)),
             "norm_mean_length_one": ("norm_mean", np.zeros(1)),
@@ -558,9 +614,13 @@ class TestMalformedInput:
             "norm_std_negative_and_inf": ("norm_std", np.array([1.0, -1.0, 1.0, np.inf])),
             "strg_mask_all_nan": ("strg_mask", np.full((4, 4), np.nan)),
             "strg_mask_fractional": ("strg_mask", np.eye(4) * 0.5),
+            # an older checkpoint carries a_stag; forecast does not read it,
+            # but the loader rejects a non-finite entry in any tensor
             "a_stag_nan": ("a_stag", np.where(np.eye(4, k=1) == 1, np.nan, 0.0)),
-            "a_stag_asymmetric": ("a_stag", np.eye(4, k=1) * 0.5),
-            "a_stag_negative": ("a_stag", np.ones((4, 4)) - 2 * np.eye(4)),
+            "a_stad_nan": ("a_stad", np.where(np.eye(4, k=1) == 1, np.nan, 0.0)),
+            # three pairs differ, both entries of each counted
+            "a_stad_asymmetric": ("a_stad", np.eye(4, k=1) * 0.5),
+            "a_stad_negative": ("a_stad", np.ones((4, 4)) - 2 * np.eye(4)),
         }
         # the first entry of a parameter or an extra made nan or inf; a nan
         # weight that ReLU zeroes gave finite but changed forecasts
@@ -607,20 +667,31 @@ class TestMalformedInput:
                         dst.writestr(info, data)
         data_path, _ = dataset
         out = tmp_path / "out.csv"
-        self._fails_cleanly(["forecast", "--checkpoint", str(bad), "--data", str(data_path),
-                             "--out", str(out)], capsys, message)
+        err = self._fails_cleanly(["forecast", "--checkpoint", str(bad), "--data",
+                                   str(data_path), "--out", str(out)], capsys, message)
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("model,d1,d2\nalpha,1.0,1.1\nbeta,2.0,n/a\n", "row 3: could not convert"),
         ("model,d1,d2\nalpha,1.0,1.1\nbeta,2.0\n", "row 3 has 2 cells, expected 3"),
         ("", "empty file"),
-    ], ids=["non_numeric_cell", "ragged_row", "empty_file"])
+        ("model,d1,d2\nalpha,1.0,1.1\nbeta,2.0,nan\n",
+         "error table entry 'beta', 'd2' is nan; entries must be finite and nonnegative"),
+        ("model,d1,d2\nalpha,1.0,1.1\nbeta,-2.0,1.2\n",
+         "error table entry 'beta', 'd1' is -2.0; entries must be finite and nonnegative"),
+        ("model,d1,d2\n", "mcb needs at least 2 models and 1 dataset"),
+        ("model,d1,d2\nalpha,1.0,1.1\n", "mcb needs at least 2 models and 1 dataset"),
+    ], ids=["non_numeric_cell", "ragged_row", "empty_file", "nan_cell", "negative_cell",
+            "header_only", "one_model"])
     def test_mcb_malformed_table(self, tmp_path, capsys, text, message):
         table = tmp_path / "errors.csv"
         table.write_text(text)
-        self._fails_cleanly(["mcb", "--table", str(table), "--out", str(tmp_path / "r.csv")],
-                            capsys, message)
+        out = tmp_path / "r.csv"
+        err = self._fails_cleanly(["mcb", "--table", str(table), "--out", str(out)],
+                                  capsys, message)
+        assert err.startswith(f"error: {table}: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decompose", "build-graph", "train", "forecast",
                                          "conformal", "evaluate", "mcb"])

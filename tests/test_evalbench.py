@@ -157,10 +157,11 @@ class TestErrorTable:
             ev.ErrorTable(np.zeros((2, 3)), ["a", "b", "c"], ["d1"])
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ParameterError):
+        # the first bad entry is named by model and dataset
+        with pytest.raises(ParameterError, match="entry 'b', 'd' is nan"):
             ev.ErrorTable(np.array([[1.0], [np.nan]]), ["a", "b"], ["d"])
-        with pytest.raises(ParameterError):
-            ev.ErrorTable(np.array([[1.0], [-0.5]]), ["a", "b"], ["d"])
+        with pytest.raises(ParameterError, match="entry 'a', 'e' is -0.5"):
+            ev.ErrorTable(np.array([[1.0, -0.5], [-1.0, 2.0]]), ["a", "b"], ["d", "e"])
 
 
 class TestMcb:

@@ -641,15 +641,23 @@ class TestBackwardContract:
     def test_sum_gradient_is_ones(self):
         g = Graph()
         p = g.parameter("p", _rand((3, 3), 27))
-        g.backward(p.sum())
-        np.testing.assert_array_equal(g.gradients["p"], np.ones((3, 3)))
+        np.testing.assert_array_equal(g.backward(p.sum())["p"], np.ones((3, 3)))
 
     def test_huber_minimum_has_zero_gradient(self):
         g = Graph()
         target = _rand((4,), 28)
         p = g.parameter("p", target.copy())
-        g.backward(T.huber_loss(p, target))
-        np.testing.assert_array_equal(g.gradients["p"], np.zeros(4))
+        np.testing.assert_array_equal(g.backward(T.huber_loss(p, target))["p"], np.zeros(4))
+
+    def test_gradients_live_on_the_leaves_only(self):
+        # backward's dict is new on each call and holds the leaves' own arrays
+        g = Graph()
+        p = g.parameter("p", _rand((3,), 31))
+        first, second = g.backward(p.sum()), g.backward(p.sum())
+        assert first is not second and first["p"] is second["p"] is p.grad
+        np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+        g.zero_grad()
+        assert p.grad is None and not hasattr(g, "gradients")
 
     def test_nonscalar_loss_rejected(self):
         g = Graph()
@@ -661,8 +669,7 @@ class TestBackwardContract:
         g = Graph()
         p = g.parameter("p", np.array([2.0]))
         q = p * 3.0
-        g.backward((q + q).sum())
-        np.testing.assert_allclose(g.gradients["p"], [6.0])
+        np.testing.assert_allclose(g.backward((q + q).sum())["p"], [6.0])
 
     def test_deterministic(self):
         def run():
