@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mcb", help="multiple-comparisons-with-the-best rank test")
     p.add_argument("--table", required=True,
                    help="CSV: first column model names, remaining columns datasets")
-    p.add_argument("--gamma", type=float, default=0.05)
+    p.add_argument("--gamma", type=float, default=0.05, choices=sorted(evalbench.TUKEY_TABLE))
     p.add_argument("--ties", default="max", choices=["max", "mid"])
     p.add_argument("--out", required=True)
     return parser
@@ -153,7 +153,13 @@ def _cmd_build_graph(args) -> int:
     data_io.save_table(out / "a_strg.csv", bundle.strg.mask)
     data_io.save_table(out / "a_stag.csv", bundle.a_stag)
     print(f"wrote a_stad.csv, a_strg.csv, a_stag.csv to {out}")
+    _print_graph_size(bundle.a_stag)
     return 0
+
+
+def _print_graph_size(a_stag):
+    entries = np.count_nonzero(a_stag) - np.count_nonzero(a_stag.diagonal())
+    print(f"STAG: {entries} off-diagonal entries, mean degree {entries / len(a_stag):.3g}")
 
 
 def _prepare_training(args):
@@ -164,6 +170,7 @@ def _prepare_training(args):
     stats = training.compute_stats(train_seg)
     cfg = _config(ModelConfig, args, nodes=len(x))  # nodes comes from the data
     bundle = build_graph_bundle(train_seg[:, 0, :], p_sp=args.p_sp)
+    _print_graph_size(bundle.a_stag)
     tr, va, te = (training.make_windows(training.normalize(seg, stats))
                   for seg in (train_seg, val_seg, test_seg))
     return cfg, bundle, stats, train_cfg, (tr, va, te)

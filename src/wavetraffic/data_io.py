@@ -1,10 +1,11 @@
 """CSV ingestion and output plus the seeded synthetic traffic generator.
 
-Every numeric CSV is written by :func:`save_table`: 12 significant digits
-per cell, so save/load round trips are value-exact at that precision. Both
-hot paths work a block at a time: the writer formats up to ``_BLOCK_ROWS``
-rows with one ``%`` call, and :func:`load_csv` parses the whole body with
-one ``np.loadtxt`` call, falling back to a row scan only to name a fault.
+Forecast files are written by :func:`save_forecasts` from their grid, every
+other numeric CSV by :func:`save_table`: 12 significant digits per cell, so
+save/load round trips are value-exact at that precision. Both writers format
+up to ``_BLOCK_ROWS`` rows with one ``%`` call, and :func:`load_csv` parses
+the body with one ``np.loadtxt`` call, falling back to a row scan only to
+name a fault.
 """
 
 from __future__ import annotations
@@ -119,51 +120,27 @@ def _scan_rows(path) -> np.ndarray:
 
 
 def save_table(path, table, header=None):
-    """Write a numeric table as CSV rows ended by ``\\r\\n``.
+    """Write a 2-D numeric table as CSV rows ended by ``\\r\\n``.
 
-    ``table`` is a 2-D array of rows, or a list of equal-length 1-D numpy
-    arrays, one per column. Cells are written as ``%.12g``, the text
-    :func:`fmt` gives, so integer-valued cells below 1e12 print as plain
-    integers; a column of integer or bool dtype is written with ``%d``,
-    which gives the same bytes, unless a value reaches 1e12 in magnitude.
-    The optional header row goes through ``csv.writer``, which quotes names
-    as needed, and must name every column. Rows are formatted
-    ``_BLOCK_ROWS`` at a time with one ``%`` call per block.
+    Cells are written as ``%.12g``, the text :func:`fmt` gives, so
+    integer-valued cells below 1e12 print as plain integers. The optional
+    header row goes through ``csv.writer``, which quotes names as needed,
+    and must name every column. Rows are formatted ``_BLOCK_ROWS`` at a
+    time, one ``%`` call per block; forecast files use :func:`save_forecasts`.
     """
-    if isinstance(table, list) and table and all(
-            isinstance(c, np.ndarray) and c.ndim == 1 for c in table):
-        columns, n_rows = table, len(table[0])
-        if any(len(c) != n_rows for c in columns):
-            raise DimensionError(
-                f"save_table: columns of unequal length {[len(c) for c in columns]}")
-    else:
-        table = np.asarray(table, dtype=np.float64)
-        if table.ndim != 2:
-            raise DimensionError(f"save_table: need a 2-D table, got shape {table.shape}")
-        columns, n_rows = list(table.T), len(table)
-    if header is not None and len(header) != len(columns):
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise DimensionError(f"save_table: need a 2-D table, got shape {table.shape}")
+    if header is not None and len(header) != table.shape[1]:
         raise DimensionError(
-            f"save_table: header names {len(header)} columns, table has {len(columns)}")
-    cells = [_column_cells(c) for c in columns]
-    row = ",".join(spec for spec, _ in cells) + "\r\n"
+            f"save_table: header names {len(header)} columns, table has {table.shape[1]}")
+    row = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         if header is not None:
             csv.writer(fh).writerow(header)
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            rows = min(_BLOCK_ROWS, n_rows - start)
-            flat = [None] * (rows * len(cells))
-            for j, (_, values) in enumerate(cells):  # interleave columns into row order
-                flat[j::len(cells)] = values[start:start + rows].tolist()
-            fh.write((row * rows) % tuple(flat))
-
-
-def _column_cells(column: np.ndarray):
-    """(format, values) for one column: ``%d`` on integers below 1e12,
-    where it prints what ``%.12g`` does, and ``%.12g`` on float64 otherwise."""
-    if column.dtype.kind in "biu" and (
-            not len(column) or (column.min() > -1e12 and column.max() < 1e12)):
-        return "%d", column
-    return "%.12g", column.astype(np.float64, copy=False)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def save_csv(path, x, header=None):
@@ -227,22 +204,37 @@ def save_forecasts(path, y, pred, intervals=None):
 
     ``y`` and ``pred`` are (T, N, steps); ``intervals`` is an optional
     (lo, hi) pair of the same shape, written with a 0/1 ``covered`` column
-    that is 1 where lo <= y <= hi. Steps are one-based.
+    that is 1 where lo <= y <= hi. Steps are one-based. Each block of whole
+    origins is one ``%`` call on a template holding ``t,node,step,`` as text;
+    ``y`` is formatted once per bit pattern (``-0.0`` stays ``-0``), and the
+    bytes equal :func:`save_table`'s ``%.12g`` of every cell.
     """
     y = np.asarray(y, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
     if y.shape != pred.shape or y.ndim != 3:
         raise DataError(f"save_forecasts: misaligned shapes {y.shape} vs {pred.shape}")
-    header = _FORECAST_COLUMNS[:5]
-    columns = [y, pred]
+    bits, inverse = np.unique(y.ravel().view(np.int64), return_inverse=True)
+    y_text = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    columns = [("%s", y_text[inverse]), ("%.12g", pred.ravel())]
     if intervals is not None:
         lo, hi = (np.asarray(a, dtype=np.float64) for a in intervals)
         if lo.shape != y.shape or hi.shape != y.shape:
             raise DataError("save_forecasts: interval shapes misaligned")
-        header = _FORECAST_COLUMNS
-        columns += [lo, hi, (lo <= y) & (y <= hi)]
-    keys = _forecast_keys(y.size, *y.shape[1:])
-    save_table(path, [*keys] + [c.ravel() for c in columns], header=header)
+        columns += [("%.12g", lo.ravel()), ("%.12g", hi.ravel()),
+                    ("%s", np.where((lo <= y) & (y <= hi), "1", "0").ravel())]
+    rest = ",".join(spec for spec, _ in columns) + "\r\n"
+    pieces = [f",{n},{s},{rest}" for n in range(y.shape[1]) for s in range(1, y.shape[2] + 1)]
+    grid = len(pieces)
+    per = max(1, _BLOCK_ROWS // max(1, grid))  # whole origins per block
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_FORECAST_COLUMNS[:3 + len(columns)]) + "\r\n")
+        for t0 in range(0, len(y) if grid else 0, per):
+            origins = [str(t) for t in range(t0, min(t0 + per, len(y)))]
+            rows = slice(t0 * grid, (t0 + len(origins)) * grid)
+            flat = [None] * (len(origins) * grid * len(columns))
+            for j, (_, values) in enumerate(columns):  # interleave columns into row order
+                flat[j::len(columns)] = values[rows].tolist()
+            fh.write("".join(t + t.join(pieces) for t in origins) % tuple(flat))
 
 
 def load_forecasts(path):

@@ -85,7 +85,7 @@ def improvement(base: float, new: float) -> float:
 
 # Upper critical values of the studentized range at df = inf, divided by
 # sqrt(2); rows are model counts 2..20.
-_TUKEY_TABLE = {
+TUKEY_TABLE = {
     0.01: [2.575829, 2.913494, 3.113250, 3.254686, 3.363740, 3.452213, 3.526471,
            3.590339, 3.646292, 3.696021, 3.740733, 3.781318, 3.818451, 3.852654,
            3.884343, 3.913850, 3.941446, 3.967357, 3.991770],
@@ -100,12 +100,12 @@ _TUKEY_TABLE = {
 
 def tukey_critical_value(n_models: int, gamma: float = 0.05) -> float:
     key = round(gamma, 10)
-    if key not in _TUKEY_TABLE or not 2 <= n_models <= 20:
+    if key not in TUKEY_TABLE or not 2 <= n_models <= 20:
         raise ParameterError(
             f"no critical value for gamma={gamma} with {n_models} models; the table "
-            f"covers gamma in {{{', '.join(map(str, _TUKEY_TABLE))}}} and 2-20 models"
+            f"covers gamma in {{{', '.join(map(str, TUKEY_TABLE))}}} and 2-20 models"
         )
-    return _TUKEY_TABLE[key][n_models - 2]
+    return TUKEY_TABLE[key][n_models - 2]
 
 
 @dataclass

@@ -13,6 +13,7 @@ from conftest import per_stream_bands
 from wavetraffic import conformal as cp
 from wavetraffic import cli, data_io, training, wavelet
 from wavetraffic.cli import build_parser, main
+from wavetraffic.graph import build_graph_bundle
 from wavetraffic.model import ModelConfig, load_checkpoint, save_checkpoint
 
 
@@ -64,7 +65,23 @@ class TestDecompose:
         assert "error:" in capsys.readouterr().err
 
 
+def _stag_line(a_stag):
+    entries = int((a_stag[~np.eye(len(a_stag), dtype=bool)] != 0).sum())
+    return f"STAG: {entries} off-diagonal entries, mean degree {entries / len(a_stag):.3g}"
+
+
 class TestBuildGraph:
+    @pytest.mark.parametrize("p_sp", ["0.01", "0.5"])
+    def test_prints_graph_size(self, dataset, tmp_path, capsys, p_sp):
+        data_path, _ = dataset
+        out = tmp_path / "graph"
+        assert main(["build-graph", "--input", str(data_path), "--p-sp", p_sp,
+                     "--out-dir", str(out)]) == 0
+        stag = np.loadtxt(out / "a_stag.csv", delimiter=",")
+        assert capsys.readouterr().out.splitlines()[-1] == _stag_line(stag)
+        if p_sp == "0.01":  # each of the 4 rows keeps one entry, its diagonal
+            assert _stag_line(stag).startswith("STAG: 0 off-diagonal entries")
+
     def test_matrices_written(self, dataset, tmp_path):
         data_path, _ = dataset
         out = tmp_path / "graph"
@@ -90,6 +107,14 @@ class TestTrainAndForecast:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_loss", "val_mae", "wall_seconds"]
         assert len(rows) == 2  # header + one epoch
+
+    def test_train_prints_graph_size(self, dataset, tmp_path, capsys):
+        data_path, _ = dataset
+        assert main(["train", "--data", str(data_path), "--out", str(tmp_path),
+                     *_FAST_TRAIN]) == 0
+        train_seg = training.split(data_io.load_csv(data_path), cli._parse_split("6:2:2"))[0]
+        a_stag = build_graph_bundle(train_seg[:, 0, :], p_sp=0.5).a_stag
+        assert _stag_line(a_stag) in capsys.readouterr().out.splitlines()
 
     def test_forecast_segment(self, trained, dataset, tmp_path):
         data_path, x = dataset
@@ -376,6 +401,20 @@ class TestConformalEvaluateMcb:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["alpha", "beta", "gamma"]
         assert [float(r[1]) for r in rows[1:]] == [1.0, 2.0, 3.0]
+
+    def test_mcb_gamma_outside_the_table_names_the_flag(self, tmp_path, capsys):
+        table = tmp_path / "errors.csv"
+        table.write_text("model,d1,d2\nalpha,1.0,1.1\nbeta,2.0,2.1\ngamma,3.0,3.1\n")
+        out = tmp_path / "ranks.csv"
+        # the flag is checked before any file is read, so a missing table is not named
+        for path in (table, tmp_path / "missing.csv"):
+            with pytest.raises(SystemExit) as exc:
+                main(["mcb", "--table", str(path), "--gamma", "0.07", "--out", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --gamma: invalid choice: 0.07 (choose from 0.01, 0.05, 0.1)" in err
+            assert str(path) not in err and not out.exists()
+        assert main(["mcb", "--table", str(table), "--gamma", "0.10", "--out", str(out)]) == 0
 
 
 class TestSweepLevel:

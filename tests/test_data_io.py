@@ -332,13 +332,7 @@ class TestSaveTable:
     def test_header_must_name_every_column(self, tmp_path, header):
         with pytest.raises(DimensionError, match=f"header names {len(header)} columns"):
             dio.save_table(tmp_path / "x.csv", np.zeros((2, 2)), header=header)
-        with pytest.raises(DimensionError, match=f"header names {len(header)} columns"):
-            dio.save_table(tmp_path / "x.csv", [np.zeros(2), np.arange(2)], header=header)
         assert not (tmp_path / "x.csv").exists()
-
-    def test_columns_of_unequal_length_rejected(self, tmp_path):
-        with pytest.raises(DimensionError, match="unequal length"):
-            dio.save_table(tmp_path / "x.csv", [np.zeros(3), np.arange(2)])
 
 
 def _per_row_reference(columns, header):
@@ -353,58 +347,101 @@ def _per_row_reference(columns, header):
 
 _SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
                    1.7976931348623157e308, 999999999999.0, 1e12, -1e12, 123456789012.5]
-_EDGE_INTS = [0, -1, 999999999999, -999999999999, 10**12, -10**12, 2**53 + 1]
+
+
+def _floats(draw, rng, shape):
+    """Floats of every binade, subnormals included, with integer-valued cells
+    up to and past 1e12, special values and drawn values mixed in."""
+    out = np.ldexp(rng.uniform(1, 2, shape) * rng.choice([-1, 1], shape),
+                   rng.integers(-1080, 1024, shape))
+    whole = rng.random(shape) < 0.2
+    out[whole] = np.round(rng.choice([1.0, -1.0], whole.sum())
+                          * 10 ** rng.uniform(0, 13, whole.sum()))
+    picks = rng.random(shape) < 0.2
+    pool = _SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=8))
+    out[picks] = rng.choice(np.array(pool), picks.sum())
+    return out
 
 
 @st.composite
 def _tables(draw):
-    """Columns of float, integer or bool dtype over 0, 1 and block-edge row counts."""
+    """2-D float tables over 0, 1 and block-edge row counts, in C or Fortran
+    order (``save_csv`` hands over a transpose)."""
     n = draw(st.sampled_from([0, 1, 2, 4095, 4096, 4097]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    columns = []
-    for kind in draw(st.lists(st.sampled_from(["float", "int", "bool", "whole"]),
-                              min_size=1, max_size=5)):
-        if kind == "float":  # every binade, subnormals included, plus drawn values
-            pool = _SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=8))
-            col = np.ldexp(rng.uniform(1, 2, n) * rng.choice([-1, 1], n),
-                           rng.integers(-1080, 1024, n))
-            picks = rng.random(n) < 0.3
-            col[picks] = rng.choice(np.array(pool), picks.sum())
-        elif kind == "int":
-            pool = _EDGE_INTS + draw(st.lists(st.integers(-2**62, 2**62), max_size=4))
-            col = rng.choice(np.array(pool, dtype=np.int64), n)
-            if draw(st.booleans()):  # small keys, as in a forecast file
-                col = rng.integers(-5, 10**6, n)
-        elif kind == "bool":
-            col = rng.random(n) < 0.5
-        else:  # integer-valued floats up to and past 1e12
-            col = np.round(rng.choice([1.0, -1.0], n) * 10 ** rng.uniform(0, 13, n))
-        columns.append(col)
-    header = draw(st.none() | st.lists(
-        st.text(alphabet="ab,\" x", max_size=4), min_size=len(columns), max_size=len(columns)))
-    return columns, header
+    table = _floats(draw, rng, (n, draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        table = np.asfortranarray(table)
+    header = draw(st.none() | st.lists(st.text(alphabet="ab,\" x", max_size=4),
+                                       min_size=table.shape[1], max_size=table.shape[1]))
+    return table, header
+
+
+def _forecast_reference(y, pred, intervals):
+    """The bytes of a per-row forecast writer: ``str(int)`` keys, ``%.12g``
+    floats and ``0``/``1`` for ``covered``."""
+    lines = [",".join(["t", "node", "step", "y", "pred"]
+                      + ["lo", "hi", "covered"] * (intervals is not None))]
+    for t, n, s in np.ndindex(y.shape):
+        cells = [str(t), str(n), str(s + 1)]
+        cells += ["%.12g" % float(a[t, n, s]) for a in (y, pred, *(intervals or ()))]
+        if intervals is not None:
+            lo, hi = intervals
+            cells.append("1" if lo[t, n, s] <= y[t, n, s] <= hi[t, n, s] else "0")
+        lines.append(",".join(cells))
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+@st.composite
+def _forecasts(draw):
+    """(y, pred, (lo, hi)) over T in {0, 1, 2} and origin counts whose rows
+    cross the 4096-row block, on grids narrower and wider than a block.
+    ``y`` repeats a few values, ``0.0`` and ``-0.0`` among them; the bands
+    hold +-inf."""
+    nodes, steps = draw(st.sampled_from([(1, 1), (3, 12), (7, 5), (350, 12)]))
+    per = max(1, dio._BLOCK_ROWS // (nodes * steps))  # whole origins per block
+    t = draw(st.sampled_from([0, 1, 2, per, per + 1, 2 * per + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (t, nodes, steps)
+    pool = _floats(draw, rng, 12)
+    y = rng.choice(np.concatenate([pool, [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]]), shape)
+    y.flat[:2] = [0.0, -0.0][:y.size]
+    pred = _floats(draw, rng, shape)
+    center = np.where(np.isfinite(y), y, 0.0)  # bands are never NaN
+    lo, hi = center - rng.uniform(-1, 2, shape), center + rng.uniform(-1, 2, shape)
+    lo[rng.random(shape) < 0.1] = -np.inf
+    hi[rng.random(shape) < 0.1] = np.inf
+    return y, pred, (lo, hi)
 
 
 class TestSaveTableBlocks:
     @settings(max_examples=60, deadline=None)
     @given(_tables())
-    @example(([np.arange(4097) - 2, np.linspace(-1, 1, 4097)], ['a,"b"', "c"]))
+    @example((np.column_stack([np.arange(4097) - 2.0, np.linspace(-1, 1, 4097)]),
+              ['a,"b"', "c"]))
     def test_columns_match_per_row_reference(self, tmp_path_factory, drawn):
-        columns, header = drawn
+        table, header = drawn
         path = tmp_path_factory.mktemp("t") / "t.csv"
-        dio.save_table(path, columns, header=header)
-        assert path.read_bytes() == _per_row_reference(columns, header)
-        # the same cells as one float table give the same bytes
-        floats = np.column_stack([c.astype(np.float64) for c in columns])
-        dio.save_table(path, floats, header=header)
-        assert path.read_bytes() == _per_row_reference(columns, header)
+        dio.save_table(path, table, header=header)
+        assert path.read_bytes() == _per_row_reference(table.T, header)
 
-    def test_integer_columns_switch_format_at_1e12(self, tmp_path):
-        path = tmp_path / "t.csv"
-        dio.save_table(path, [np.array([999999999999, -999999999999]),
-                              np.array([10**12, 5]), np.array([True, False])])
-        assert path.read_bytes() == (b"999999999999,1e+12,1\r\n"
-                                     b"-999999999999,5,0\r\n")
+    @settings(max_examples=40, deadline=None)
+    @given(_forecasts())
+    def test_forecasts_match_per_row_reference(self, tmp_path_factory, drawn):
+        y, pred, intervals = drawn
+        path = tmp_path_factory.mktemp("f") / "f.csv"
+        for bands in (None, intervals):
+            dio.save_forecasts(path, y, pred, intervals=bands)
+            assert path.read_bytes() == _forecast_reference(y, pred, bands)
+        if not y.size:
+            return
+        # finite y and pred load back as the values their 12-digit text names
+        y, pred = (np.where(np.isfinite(a), a, 0.5) for a in (y, pred))
+        dio.save_forecasts(path, y, pred, intervals=intervals)
+        loaded = dio.load_forecasts(path)
+        for got, want in zip((*loaded[:2], *loaded[2]), (y, pred, *intervals)):
+            parsed = np.array([float("%.12g" % v) for v in want.ravel()]).reshape(want.shape)
+            assert got.tobytes() == parsed.tobytes()
 
     def test_forecast_keys_written_as_integers(self, tmp_path):
         rng = np.random.default_rng(3)
