@@ -5,7 +5,8 @@ subcommand is deterministic for fixed inputs, flags, and seeds.
 
 Settings enter by flags only: each flag of ``train`` and ``sweep-level``
 sets the ``ModelConfig`` or ``TrainConfig`` field of its name, and a flag
-left out keeps that field's default.
+left out keeps that field's default. The train:val:test split is the
+constant 6:2:2 of ``training.SplitSpec()``, so ``forecast`` cuts as ``train`` did.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -27,17 +27,6 @@ from .graph import (GraphBundle, StadMatrix, StrgMask, build_graph_bundle, build
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 
 __all__ = ["main", "build_parser"]
-
-
-def _parse_split(text: str) -> training.SplitSpec:
-    try:
-        parts = [float(p) for p in text.split(":")]
-    except ValueError:
-        parts = []
-    if len(parts) != 3 or not all(0 < p < math.inf for p in parts):
-        raise ParameterError(f"split must be three positive numbers a:b:c, got {text!r}")
-    total = sum(parts)
-    return training.SplitSpec(*(p / total for p in parts))
 
 
 def _config(cls, args, **given):
@@ -64,7 +53,6 @@ def _add_train_flags(sub):
     sub.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     sub.add_argument("--huber-delta", dest="huber_delta", type=float, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--split", default="6:2:2", help="train:val:test ratio")
     sub.add_argument("--p-sp", dest="p_sp", type=float, default=0.01)
 
 
@@ -97,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--segment", default="all", choices=["all", "train", "val", "test"])
-    p.add_argument("--split", default="6:2:2", help="the train:val:test ratio train used")
 
     # no abbreviations: --level would otherwise be read as --levels
     p = sub.add_parser("sweep-level", help="train once per wavelet level, compare MAPE",
@@ -138,13 +125,13 @@ def _cmd_decompose(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     names = [f"detail{j}" for j in range(1, args.level + 1)] + [f"smooth{args.level}"]
     for name, comp in zip(names, comps):
-        data_io.save_csv(out / f"{name}.csv", comp,
-                         header=[f"sensor_{i}" for i in range(len(x))])
+        data_io.save_csv(out / f"{name}.csv", comp)
     print(f"wrote {len(comps)} component files to {out}")
     return 0
 
 
 def _cmd_build_graph(args) -> int:
+    _check_p_sp(args.p_sp)
     x = data_io.load_csv(args.input)
     bundle = build_graph_bundle(x[:, 0, :], p_sp=args.p_sp)
     out = Path(args.out_dir)
@@ -157,16 +144,21 @@ def _cmd_build_graph(args) -> int:
     return 0
 
 
+def _check_p_sp(p_sp):
+    if not 0 < p_sp <= 1:
+        raise ParameterError(f"--p-sp must be in (0, 1], got {p_sp}")
+
+
 def _print_graph_size(a_stag):
     entries = np.count_nonzero(a_stag) - np.count_nonzero(a_stag.diagonal())
     print(f"STAG: {entries} off-diagonal entries, mean degree {entries / len(a_stag):.3g}")
 
 
 def _prepare_training(args):
+    _check_p_sp(args.p_sp)
     train_cfg = _config(training.TrainConfig, args)
-    split_spec = _parse_split(args.split)
     x = data_io.load_csv(args.data)
-    train_seg, val_seg, test_seg = training.split(x, split_spec)
+    train_seg, val_seg, test_seg = training.split(x)
     stats = training.compute_stats(train_seg)
     cfg = _config(ModelConfig, args, nodes=len(x))  # nodes comes from the data
     bundle = build_graph_bundle(train_seg[:, 0, :], p_sp=args.p_sp)
@@ -223,7 +215,10 @@ def _model_from_checkpoint(path):
     a_stag = build_stag(stad, strg)
     bundle = GraphBundle(stad, strg, a_stag, scaled_laplacian(a_stag))
     model = Model(cfg, bundle)
-    model.graph.load_state(state)
+    try:
+        model.graph.load_state(state)
+    except WavetrafficError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return model, stats
 
 
@@ -234,7 +229,7 @@ def _cmd_forecast(args) -> int:
         raise DataError(f"{args.data}: {len(x)} sensors, but the checkpoint "
                         f"was trained on {model.cfg.nodes}")
     if args.segment != "all":
-        segs = dict(zip(("train", "val", "test"), training.split(x, _parse_split(args.split))))
+        segs = dict(zip(("train", "val", "test"), training.split(x)))
         x = segs[args.segment]
     cfg = model.cfg
     windows = training.make_windows(training.normalize(x, stats))
@@ -262,6 +257,8 @@ def _cmd_sweep_level(args) -> int:
 
 
 def _cmd_conformal(args) -> int:
+    if not 0 < args.beta < 1:
+        raise ParameterError(f"--beta must be in (0, 1), got {args.beta}")
     shortest = cp.min_window(args.beta)
     if args.alpha < shortest:
         raise ParameterError(f"--alpha {args.alpha} is below {shortest}, the fewest scores "

@@ -143,13 +143,12 @@ def save_table(path, table, header=None):
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def save_csv(path, x, header=None):
-    """Write a (N, M) or (N, 1, M) tensor as a sensors-as-columns CSV."""
+def save_csv(path, x):
+    """Write a (N, M) or (N, 1, M) tensor as a CSV with columns ``sensor_0`` ..."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x[:, 0, :]
-    header = header or [f"sensor_{i}" for i in range(x.shape[0])]
-    save_table(path, x.T, header=header)
+    save_table(path, x.T, header=[f"sensor_{i}" for i in range(x.shape[0])])
 
 
 def _synthetic_draws(rng, n_nodes: int):

@@ -385,10 +385,10 @@ def load_checkpoint(path):
     """Returns (config, parameter state dict, extras dict).
 
     A file that is not a zip archive, a missing or corrupt entry, a config
-    that :func:`parse_settings` rejects or that lacks ``nodes``, a manifest
-    shape that is not integers, a tensor whose byte length disagrees
-    with its manifest shape and a tensor (a parameter or an extra) that
-    holds NaN or inf each raise ``DataError``.
+    that :func:`parse_settings` or ``ModelConfig`` rejects or that lacks
+    ``nodes``, a manifest shape that is not integers, a tensor whose byte
+    length disagrees with its manifest shape and a tensor (a parameter or
+    an extra) that holds NaN or inf each raise ``DataError``.
     """
     try:
         zf = zipfile.ZipFile(path, "r")
@@ -407,7 +407,10 @@ def load_checkpoint(path):
         settings = parse_settings(read("config.txt"), f"{path}: checkpoint config")
         if "nodes" not in settings:
             raise DataError(f"{path}: checkpoint config: no nodes entry")
-        cfg = ModelConfig(**settings)
+        try:
+            cfg = ModelConfig(**settings)
+        except ParameterError as exc:
+            raise DataError(f"{path}: checkpoint config: {exc}") from None
         state, extras = {}, {}
         for line in _text(read("manifest.txt"), f"{path}: manifest").strip().splitlines():
             name, _, shape_txt = line.partition("\t")

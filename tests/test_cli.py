@@ -112,7 +112,7 @@ class TestTrainAndForecast:
         data_path, _ = dataset
         assert main(["train", "--data", str(data_path), "--out", str(tmp_path),
                      *_FAST_TRAIN]) == 0
-        train_seg = training.split(data_io.load_csv(data_path), cli._parse_split("6:2:2"))[0]
+        train_seg = training.split(data_io.load_csv(data_path))[0]
         a_stag = build_graph_bundle(train_seg[:, 0, :], p_sp=0.5).a_stag
         assert _stag_line(a_stag) in capsys.readouterr().out.splitlines()
 
@@ -153,6 +153,7 @@ class TestTrainAndForecast:
                      "--out", str(tmp_path / "out.csv")])
         assert code == 1
         err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: ")
         assert "block0.gc.theta0" in err and "missing parameter(s): block0.gc.theta" in err
         assert not (tmp_path / "out.csv").exists()
 
@@ -225,7 +226,7 @@ def _setting_names():
 
 class TestSettingsFlags:
     # the destinations of the flags that set no config field
-    _OTHER = {"help", "data", "out", "split", "p_sp", "levels"}
+    _OTHER = {"help", "data", "out", "p_sp", "levels"}
 
     @pytest.mark.parametrize("command, unset", [("train", set()), ("sweep-level", {"level"})],
                              ids=["train", "sweep-level"])
@@ -494,13 +495,6 @@ class TestMalformedInput:
         assert err.startswith("error:") and message in err
         return err
 
-    @pytest.mark.parametrize("split", ["6:2:x", "0:0:0"])
-    def test_bad_split(self, dataset, tmp_path, capsys, split):
-        data_path, _ = dataset
-        self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path),
-                             "--split", split, *_FAST_TRAIN], capsys,
-                            f"split must be three positive numbers a:b:c, got {split!r}")
-
     @pytest.mark.parametrize("flags, message", [
         (["--lr", "nan"], "lr=nan"),
         (["--lr", "inf"], "lr=inf"),
@@ -530,16 +524,23 @@ class TestMalformedInput:
         ("sweep-level", ["--stad-window", "100"]),
         ("train", ["--config", "run.cfg"]),
         ("sweep-level", ["--config", "run.cfg"]),
-    ], ids=["build-graph", "train", "sweep-level", "train-config", "sweep-level-config"])
-    def test_stad_window_is_not_an_option(self, dataset, tmp_path, capsys, command, removed):
-        # the distance graph is built from the whole training series, and
-        # settings enter by flags only
+        ("train", ["--split", "6:2:2"]),
+        ("sweep-level", ["--split", "6:2:2"]),
+        ("forecast", ["--split", "6:2:2"]),
+    ], ids=["build-graph-stad-window", "train-stad-window", "sweep-level-stad-window",
+            "train-config", "sweep-level-config", "train-split", "sweep-level-split",
+            "forecast-split"])
+    def test_removed_option_exits_two(self, dataset, tmp_path, capsys, command, removed):
+        # the distance graph is built from the whole training series,
+        # settings enter by flags only, and the split is a constant
         data_path, _ = dataset
         out = tmp_path / "out"
-        fast = _FAST_SWEEP if command == "sweep-level" else _FAST_TRAIN
+        fast = {"sweep-level": _FAST_SWEEP, "train": _FAST_TRAIN}.get(command, [])
         io_flags = (["--input", str(data_path), "--out-dir", str(out)]
                     if command == "build-graph"
                     else ["--data", str(data_path), "--out", str(out), *fast])
+        if command == "forecast":
+            io_flags += ["--checkpoint", str(tmp_path / "checkpoint.bin")]
         with pytest.raises(SystemExit) as exc:
             main([command, *io_flags, *removed])
         assert exc.value.code == 2
@@ -567,6 +568,25 @@ class TestMalformedInput:
         argv[2] = str(tmp_path / "missing.csv")
         self._fails_cleanly(argv, capsys, message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["conformal", "--calibration", "val.csv", "--test", "test.csv", "--beta", "1.5"],
+         "--beta must be in (0, 1), got 1.5"),
+        (["build-graph", "--input", "data.csv", "--out-dir", "graph", "--p-sp", "0"],
+         "--p-sp must be in (0, 1], got 0.0"),
+        (["train", "--data", "data.csv", "--p-sp", "1.5"], "--p-sp must be in (0, 1], got 1.5"),
+        (["sweep-level", "--data", "data.csv", "--p-sp", "nan"],
+         "--p-sp must be in (0, 1], got nan"),
+    ], ids=["conformal-beta", "build-graph-p-sp", "train-p-sp", "sweep-level-p-sp"])
+    def test_out_of_range_flag(self, tmp_path, capsys, monkeypatch, argv, message):
+        # refused before any input file is read: none of them exists
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        if "--out-dir" not in argv:
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not (tmp_path / "graph").exists()
+
     # ids are the fault names alone, so rewording a message keeps the test ids
     _CHECKPOINT_FAULTS = [
         ("not_zip", "not a checkpoint archive"),
@@ -582,6 +602,13 @@ class TestMalformedInput:
         ("bad_config_value", "checkpoint config: bad value blocks='one', expected int"),
         ("config_not_utf8", "checkpoint config: not UTF-8 text"),
         ("no_nodes", "checkpoint config: no nodes entry"),
+        # values that ModelConfig rejects
+        ("heads_not_dividing_width",
+         "checkpoint config: width 3 not divisible by head count 2"),
+        ("unknown_filter", "checkpoint config: unknown wavelet filter 'db2'"),
+        ("zero_blocks", "checkpoint config: ModelConfig.blocks must be positive"),
+        ("level_wider_than_window",
+         "checkpoint config: level-9 haar filter has 512 taps, more than the 12-step window"),
         ("bad_manifest_shape", "manifest shape 'x1,1,2,1' of 'block0.gc.bias' is not integers"),
         ("bad_crc", "Bad CRC-32 for file 'tensors/block0.gc.theta'"),
         ("bad_deflate_stream", "while decompressing data"),
@@ -635,6 +662,13 @@ class TestMalformedInput:
             "bad_config_value": ("config.txt",
                                  lambda data: data.replace(b"blocks=1", b"blocks=one")),
             "no_nodes": ("config.txt", lambda data: data.replace(b"nodes=4\n", b"")),
+            "heads_not_dividing_width": ("config.txt",
+                                         lambda data: data.replace(b"heads=3", b"heads=2")),
+            "unknown_filter": ("config.txt", lambda data: data.replace(b"filter_name=haar",
+                                                                       b"filter_name=db2")),
+            "zero_blocks": ("config.txt", lambda data: data.replace(b"blocks=1", b"blocks=0")),
+            "level_wider_than_window": ("config.txt",
+                                        lambda data: data.replace(b"level=1", b"level=9")),
             "bad_manifest_shape": ("manifest.txt", lambda data: data.replace(b"\t", b"\tx", 1)),
             "missing_entry": ("tensors/block0.gc.theta", lambda data: None),
             "short_tensor": ("tensors/block0.gc.theta", lambda data: data[:-8]),

@@ -20,12 +20,6 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(loaded, x, rtol=1e-11)
         assert loaded.shape == (4, 1, 30)
 
-    def test_custom_header_preserved(self, tmp_path):
-        path = tmp_path / "x.csv"
-        dio.save_csv(path, np.ones((2, 3)), header=["a17", "b21"])
-        first = path.read_text().splitlines()[0]
-        assert first == "a17,b21"
-
     @pytest.mark.parametrize("seed", range(8))
     def test_twelve_digit_round_trip(self, seed, tmp_path):
         x = np.random.default_rng(seed).normal(size=(3, 1, 8)) * 1e3
