@@ -42,7 +42,6 @@ def _add_model_flags(sub, level=True):
     if level:
         sub.add_argument("--level", type=int, default=None,
                          help="wavelet decomposition level (0 disables the transform)")
-    sub.add_argument("--cheb-order", dest="cheb_order", type=int, default=None)
     sub.add_argument("--channels", type=int, default=None)
     sub.add_argument("--filter", dest="filter_name", default=None, choices=wavelet.FILTER_NAMES)
 
@@ -51,7 +50,6 @@ def _add_train_flags(sub):
     sub.add_argument("--epochs", type=int, default=None)
     sub.add_argument("--lr", type=float, default=None)
     sub.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    sub.add_argument("--huber-delta", dest="huber_delta", type=float, default=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--p-sp", dest="p_sp", type=float, default=0.01)
 
@@ -120,6 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_decompose(args) -> int:
     x = data_io.load_csv(args.input)
+    fits = [j for j in range(1, 64) if wavelet.filter_width(args.filter, j) <= x.shape[-1]]
+    if args.level not in fits:
+        raise ParameterError(f"--level must be in 1..{len(fits)} for the {args.filter} filter "
+                             f"on a {x.shape[-1]}-step series, got {args.level}")
     comps = wavelet.mra(x, args.filter, args.level)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -231,11 +233,10 @@ def _cmd_forecast(args) -> int:
     if args.segment != "all":
         segs = dict(zip(("train", "val", "test"), training.split(x)))
         x = segs[args.segment]
-    cfg = model.cfg
     windows = training.make_windows(training.normalize(x, stats))
     y, pred = training.predict_windows(model, windows, stats)
     data_io.save_forecasts(args.out, y, pred)
-    print(f"wrote {len(y)} x {cfg.nodes} x {cfg.horizon} forecasts to {args.out}")
+    print(f"wrote {len(y)} x {model.cfg.nodes} x {model.cfg.horizon} forecasts to {args.out}")
     return 0
 
 

@@ -40,7 +40,6 @@ class ModelConfig:
     width: int = 33  # attention embedding of the node axis; divisible by heads
     heads: int = 3
     level: int = 2  # wavelet decomposition level; 0 disables the transform
-    cheb_order: int = 3
     channels: int = 32
     filter_name: str = "haar"
 
@@ -51,9 +50,10 @@ class ModelConfig:
     pool_window: typing.ClassVar[int] = 2  # gated-branch average pooling
     in_channels: typing.ClassVar[int] = 1  # one volume series per sensor
     eps: typing.ClassVar[float] = 1e-8  # layer-norm variance floor
+    cheb_order: typing.ClassVar[int] = 3  # Chebyshev polynomial order K of the graph conv
 
     def __post_init__(self):
-        for name in ("nodes", "blocks", "width", "heads", "cheb_order", "channels"):
+        for name in ("nodes", "blocks", "width", "heads", "channels"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"ModelConfig.{name} must be positive")
         if self.level < 0:
@@ -63,10 +63,8 @@ class ModelConfig:
                 f"width {self.width} not divisible by head count {self.heads}"
             )
         if self.width < self.cheb_order:
-            raise ParameterError(
-                f"width {self.width} < cheb_order {self.cheb_order} leaves the "
-                f"spatial attention heads (width // cheb_order) empty"
-            )
+            raise ParameterError(f"width {self.width} < cheb_order {self.cheb_order} leaves the "
+                                 "spatial attention heads (width // cheb_order) empty")
         taps = wavelet.filter_width(self.filter_name, self.level)
         if taps > self.window:
             raise ParameterError(

@@ -577,29 +577,29 @@ def conv1d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return Tensor._result(data, (t, kernel, bias), backward)
 
 
-def huber_value(err: np.ndarray, delta: float) -> np.ndarray:
-    """Elementwise Huber value: quadratic within ``delta``, linear outside.
+HUBER_DELTA = 1.0  # where the Huber loss turns from quadratic to linear
+
+
+def huber_value(err: np.ndarray) -> np.ndarray:
+    """Elementwise Huber value: quadratic within ``HUBER_DELTA``, linear outside.
     The one formula of :func:`huber_loss` and ``fit``'s validation loss."""
     a = np.abs(err)
-    return np.where(a <= delta, 0.5 * err * err, delta * (a - 0.5 * delta))
+    return np.where(a <= HUBER_DELTA, 0.5 * err * err, HUBER_DELTA * (a - 0.5 * HUBER_DELTA))
 
 
-def huber_loss(pred: Tensor, target, delta: float = 1.0) -> Tensor:
+def huber_loss(pred: Tensor, target) -> Tensor:
     """Mean Huber loss (:func:`huber_value`) with gradient clip(err) / n."""
     pred = _as_tensor(pred)
     target = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
     if pred.shape != target.shape:
         raise DimensionError(f"huber_loss: shapes {pred.shape} and {target.shape} differ")
-    if delta <= 0:
-        raise ParameterError(f"huber_loss: delta must be positive, got {delta}")
     node = pred._node
     err = pred.data - target
-    n = err.size
 
     def backward(g):
-        node._accumulate(g * np.clip(err, -delta, delta) / n)
+        node._accumulate(g * np.clip(err, -HUBER_DELTA, HUBER_DELTA) / err.size)
 
-    return Tensor._result(huber_value(err, delta).mean(), (pred,), backward)
+    return Tensor._result(huber_value(err).mean(), (pred,), backward)
 
 
 class Graph:

@@ -58,13 +58,12 @@ class TrainConfig:
     epochs: int = 100
     lr: float = 1e-4
     batch_size: int = 32
-    huber_delta: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        # each range test is False for nan, and the upper bounds reject inf
-        ok = {"epochs": self.epochs >= 0, "lr": 0 <= self.lr < math.inf,
-              "batch_size": self.batch_size >= 1, "huber_delta": 0 < self.huber_delta < math.inf}
+        # each range test is False for nan, and lr's upper bound rejects inf
+        ok = {"epochs": self.epochs >= 1, "lr": 0 <= self.lr < math.inf,
+              "batch_size": self.batch_size >= 1}
         bad = [f"{name}={getattr(self, name)!r}" for name, good in ok.items() if not good]
         if bad:
             raise ParameterError(f"invalid training configuration: {', '.join(bad)}")
@@ -173,7 +172,7 @@ def fit(model: Model, train_windows, val_windows, cfg: TrainConfig = TrainConfig
             idx = order[lo : lo + cfg.batch_size]
             model.graph.zero_grad()
             pred = model.forward(tr_x[idx])
-            loss = T.huber_loss(pred, tr_y[idx], cfg.huber_delta)
+            loss = T.huber_loss(pred, tr_y[idx])
             if not np.isfinite(loss.item()):
                 raise TrainingError(
                     f"non-finite loss in epoch {epoch}, batch {n_batches}"
@@ -189,7 +188,7 @@ def fit(model: Model, train_windows, val_windows, cfg: TrainConfig = TrainConfig
         for lo in range(0, len(va_x), cfg.batch_size):
             pred = model.predict(va_x[lo : lo + cfg.batch_size])
             chunk = va_y[lo : lo + cfg.batch_size]
-            val_loss += T.huber_value(pred - chunk, cfg.huber_delta).sum()
+            val_loss += T.huber_value(pred - chunk).sum()
             val_abs += np.abs(pred - chunk).sum()
             val_count += chunk.size
         val_loss /= max(val_count, 1)

@@ -240,10 +240,9 @@ class TestSettingsFlags:
     _NON_DEFAULT = [
         ("--blocks", "2", "blocks", 2), ("--width", "6", "width", 6),
         ("--heads", "11", "heads", 11), ("--level", "1", "level", 1),
-        ("--cheb-order", "2", "cheb_order", 2), ("--channels", "5", "channels", 5),
-        ("--filter", "d4", "filter_name", "d4"), ("--epochs", "3", "epochs", 3),
-        ("--lr", "0.002", "lr", 0.002), ("--batch-size", "16", "batch_size", 16),
-        ("--huber-delta", "0.5", "huber_delta", 0.5), ("--seed", "7", "seed", 7),
+        ("--channels", "5", "channels", 5), ("--filter", "d4", "filter_name", "d4"),
+        ("--epochs", "3", "epochs", 3), ("--lr", "0.002", "lr", 0.002),
+        ("--batch-size", "16", "batch_size", 16), ("--seed", "7", "seed", 7),
     ]
 
     @pytest.mark.parametrize("flag, text, field, value", _NON_DEFAULT,
@@ -495,15 +494,18 @@ class TestMalformedInput:
         assert err.startswith("error:") and message in err
         return err
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--lr", "nan"], "lr=nan"),
-        (["--lr", "inf"], "lr=inf"),
-        (["--huber-delta", "nan"], "huber_delta=nan"),
-        (["--lr", "inf", "--huber-delta", "nan"], "lr=inf, huber_delta=nan"),
-    ], ids=["lr_nan", "lr_inf", "huber_delta_nan", "lr_inf_and_huber_delta_nan"])
-    def test_non_finite_training_setting(self, dataset, tmp_path, capsys, flags, message):
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--lr", "nan"], "lr=nan"),
+        ("train", ["--lr", "inf"], "lr=inf"),
+        # no epoch would run, and the checkpoint would hold the initial parameters
+        ("train", ["--epochs", "0"], "epochs=0"),
+        ("sweep-level", ["--epochs", "0"], "epochs=0"),
+        ("train", ["--lr", "inf", "--epochs", "0"], "epochs=0, lr=inf"),
+    ], ids=["lr_nan", "lr_inf", "train_epochs_zero", "sweep_level_epochs_zero",
+            "lr_inf_and_epochs_zero"])
+    def test_bad_training_setting(self, dataset, tmp_path, capsys, command, flags, message):
         data_path, _ = dataset
-        self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path / "run"),
+        self._fails_cleanly([command, "--data", str(data_path), "--out", str(tmp_path / "run"),
                              *flags], capsys, f"invalid training configuration: {message}")
         assert not (tmp_path / "run").exists()
 
@@ -514,8 +516,8 @@ class TestMalformedInput:
         monkeypatch.setattr(training, "fit", no_training)
         data_path, _ = dataset
         self._fails_cleanly(["train", "--data", str(data_path), "--out", str(tmp_path / "run"),
-                             *_FAST_TRAIN, "--heads", "3", "--cheb-order", "4"], capsys,
-                            "width 3 < cheb_order 4")
+                             *_FAST_TRAIN, "--width", "2", "--heads", "2"], capsys,
+                            "width 2 < cheb_order 3")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, removed", [
@@ -527,12 +529,18 @@ class TestMalformedInput:
         ("train", ["--split", "6:2:2"]),
         ("sweep-level", ["--split", "6:2:2"]),
         ("forecast", ["--split", "6:2:2"]),
+        ("train", ["--cheb-order", "3"]),
+        ("train", ["--huber-delta", "1.0"]),
+        ("sweep-level", ["--cheb-order", "3"]),
+        ("sweep-level", ["--huber-delta", "1.0"]),
     ], ids=["build-graph-stad-window", "train-stad-window", "sweep-level-stad-window",
             "train-config", "sweep-level-config", "train-split", "sweep-level-split",
-            "forecast-split"])
+            "forecast-split", "train-cheb-order", "train-huber-delta",
+            "sweep-level-cheb-order", "sweep-level-huber-delta"])
     def test_removed_option_exits_two(self, dataset, tmp_path, capsys, command, removed):
-        # the distance graph is built from the whole training series,
-        # settings enter by flags only, and the split is a constant
+        # the distance graph is built from the whole training series, settings
+        # enter by flags only, and the split, Chebyshev order and Huber delta
+        # are constants
         data_path, _ = dataset
         out = tmp_path / "out"
         fast = {"sweep-level": _FAST_SWEEP, "train": _FAST_TRAIN}.get(command, [])
@@ -587,6 +595,19 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists() and not (tmp_path / "graph").exists()
 
+    @pytest.mark.parametrize("level, message", [
+        ("0", "--level must be in 1..9 for the haar filter on a 700-step series, got 0"),
+        # level 9's 512 taps fit the 700 steps, level 10's 1024 would wrap around
+        ("10", "--level must be in 1..9 for the haar filter on a 700-step series, got 10"),
+    ], ids=["zero", "wider_than_series"])
+    def test_decompose_level_out_of_range(self, dataset, tmp_path, capsys, level, message):
+        data_path, _ = dataset
+        out = tmp_path / "bands"
+        assert main(["decompose", "--input", str(data_path), "--level", level,
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     # ids are the fault names alone, so rewording a message keeps the test ids
     _CHECKPOINT_FAULTS = [
         ("not_zip", "not a checkpoint archive"),
@@ -595,6 +616,7 @@ class TestMalformedInput:
          "checkpoint config: unknown key(s): pool_window, in_channels, eps"),
         ("geometry_in_config", "checkpoint config: unknown key(s): kernel_sizes, window"),
         ("horizon_in_config", "checkpoint config: unknown key(s): horizon"),
+        ("cheb_order_in_config", "checkpoint config: unknown key(s): cheb_order"),
         ("config_line_without_equals", "checkpoint config: malformed line 'blocks 1'"),
         ("config_blank_line", "checkpoint config: malformed line ''"),
         ("config_comment_line", "checkpoint config: malformed line '# saved by hand'"),
@@ -652,6 +674,9 @@ class TestMalformedInput:
             # the line a checkpoint written before the horizon became constant carries
             "horizon_in_config": ("config.txt", lambda data: data.replace(
                 b"filter_name=", b"horizon=12\nfilter_name=")),
+            # the line a checkpoint written before the Chebyshev order became constant carries
+            "cheb_order_in_config": ("config.txt", lambda data: data.replace(
+                b"channels=", b"cheb_order=3\nchannels=")),
             "config_line_without_equals": ("config.txt",
                                            lambda data: data.replace(b"blocks=1", b"blocks 1")),
             # the parser reads only what the writer writes: no blank or comment lines

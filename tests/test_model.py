@@ -36,9 +36,9 @@ class TestModelConfig:
 
     def test_rejects_width_below_cheb_order(self):
         # spatial head width width // cheb_order would be 0, its logit scale 1/sqrt(0)
-        ModelConfig(nodes=4, width=3, heads=3, cheb_order=3)
-        with pytest.raises(ParameterError, match="width 3 < cheb_order 4"):
-            ModelConfig(nodes=4, width=3, heads=3, cheb_order=4)
+        ModelConfig(nodes=4, width=3, heads=3)
+        with pytest.raises(ParameterError, match="width 2 < cheb_order 3"):
+            ModelConfig(nodes=4, width=2, heads=2)
 
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ParameterError):
@@ -320,14 +320,11 @@ class TestChebGraphConv:
         expected += toy_model.graph.parameters["block0.gc.bias"].data
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_model_builds_basis_of_its_order(self, toy_setup, order):
-        # one bundle serves every Chebyshev order the config asks for
+    def test_model_builds_basis_of_its_order(self, toy_setup):
         cfg, bundle = toy_setup
-        model = Model(replace(cfg, cheb_order=order, width=order * 3, heads=3), bundle)
-        expected = chebyshev_basis(bundle.laplacian, order)
+        model = Model(cfg, bundle)
+        expected = chebyshev_basis(bundle.laplacian, 3)
         assert np.array_equal(model._cheb.data[:, 0], expected)
-        assert model.predict(_window_batch(model.cfg)).shape == (3, cfg.nodes, cfg.horizon)
 
     def test_head_count_validated(self, toy_model):
         cfg = toy_model.cfg
@@ -487,8 +484,8 @@ class TestCheckpoint:
 
     def test_every_field_round_trips(self, tmp_path):
         default = ModelConfig(nodes=1)
-        cfg = ModelConfig(nodes=5, blocks=2, width=4, heads=2, level=1, cheb_order=2,
-                          channels=3, filter_name="d4")
+        cfg = ModelConfig(nodes=5, blocks=2, width=4, heads=2, level=1, channels=3,
+                          filter_name="d4")
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
         save_checkpoint(tmp_path / "model.bin", cfg, {})
         loaded, state, extras = load_checkpoint(tmp_path / "model.bin")
@@ -496,11 +493,11 @@ class TestCheckpoint:
 
     def test_settable_fields(self):
         assert [f.name for f in fields(ModelConfig)] == [
-            "nodes", "blocks", "width", "heads", "level", "cheb_order", "channels", "filter_name",
+            "nodes", "blocks", "width", "heads", "level", "channels", "filter_name",
         ]
-        assert ModelConfig.horizon == 12
+        assert ModelConfig.horizon == 12 and ModelConfig.cheb_order == 3
         for constant in ({"pool_window": 2}, {"window": 6}, {"kernel_sizes": (3, 5)},
-                         {"horizon": 6}):
+                         {"horizon": 6}, {"cheb_order": 2}):
             with pytest.raises(TypeError):
                 ModelConfig(nodes=4, **constant)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavetraffic import tensor as T
-from wavetraffic.errors import DimensionError, ParameterError, TrainingError
+from wavetraffic.errors import DimensionError, TrainingError
 from wavetraffic.optim import AdamState, adam_step
 from wavetraffic.tensor import Tensor
 
@@ -13,22 +13,20 @@ class TestHuberLoss:
         assert T.huber_loss(Tensor(x), x).item() == 0.0
 
     def test_quadratic_branch(self):
-        assert T.huber_loss(Tensor([1.0]), np.array([0.0]), delta=1.0).item() == pytest.approx(0.5)
+        assert T.huber_loss(Tensor([1.0]), np.array([0.0])).item() == pytest.approx(0.5)
 
     def test_linear_branch(self):
         # delta * (|e| - delta/2) = 1 * (3 - 0.5)
-        assert T.huber_loss(Tensor([3.0]), np.array([0.0]), delta=1.0).item() == pytest.approx(2.5)
+        assert T.huber_loss(Tensor([3.0]), np.array([0.0])).item() == pytest.approx(2.5)
 
     def test_continuity_at_delta(self):
         lo = T.huber_loss(Tensor([1.0 - 1e-9]), np.array([0.0])).item()
         hi = T.huber_loss(Tensor([1.0 + 1e-9]), np.array([0.0])).item()
         assert abs(lo - hi) < 1e-8
 
-    def test_shape_and_delta_validation(self):
+    def test_shape_validation(self):
         with pytest.raises(DimensionError):
             T.huber_loss(Tensor([1.0, 2.0]), np.array([1.0]))
-        with pytest.raises(ParameterError):
-            T.huber_loss(Tensor([1.0]), np.array([1.0]), delta=0.0)
 
 
 class TestAdam:

@@ -1,6 +1,7 @@
 import gc
 import re
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +177,7 @@ class TestFit:
         probe = Model(cfg, bundle, seed=0)
         probe.graph.load_state(result.best_state)
         best_logged = min(row["val_loss"] for row in result.log)
-        val = T.huber_value(probe.predict(va_x) - va_y, 1.0).mean()
+        val = T.huber_value(probe.predict(va_x) - va_y).mean()
         assert val == pytest.approx(best_logged, rel=1e-9)
 
     def test_one_validation_pass_per_epoch(self, toy_setup_module, monkeypatch):
@@ -228,8 +229,9 @@ class TestFit:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             tr.TrainConfig(batch_size=0)
-        with pytest.raises(ParameterError):
-            tr.TrainConfig(huber_delta=0.0)
+        with pytest.raises(ParameterError, match="epochs=0"):
+            tr.TrainConfig(epochs=0)
+        assert [f.name for f in fields(tr.TrainConfig)] == ["epochs", "lr", "batch_size", "seed"]
 
 
 class TestGraphLifetime:
@@ -258,18 +260,13 @@ class TestGraphLifetime:
             assert not any(alive), f"forward call {entry} entered with an earlier graph alive"
 
 
-@pytest.mark.parametrize("extra_setting", ["", ", cheb_order=2"],
-                         ids=["as_written", "cheb_order_2"])
-def test_readme_library_quick_start_runs(extra_setting):
-    # the documented example runs against the current API, one epoch instead of 30;
-    # the graph bundle serves any Chebyshev order the config sets
+def test_readme_library_quick_start_runs():
+    # the documented example runs against the current API, one epoch instead of 30
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"## Quick start \(library\)\n+```python\n(.*?)```", readme, re.S).group(1)
-    assert block.count("epochs=30") == 1 and block.count("channels=4)") == 1
+    assert block.count("epochs=30") == 1
     block = block.replace("epochs=30", "epochs=1")
-    block = block.replace("channels=4)", f"channels=4{extra_setting})")
     namespace = {}
     exec(block, namespace)
-    assert namespace["model"].cfg.cheb_order == (2 if extra_setting else 3)
     assert len(namespace["result"].log) == 1
     assert np.isfinite(namespace["result"].log[0]["val_loss"])
