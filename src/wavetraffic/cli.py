@@ -21,7 +21,7 @@ import numpy as np
 
 from . import conformal as cp
 from . import data_io, evalbench, training, wavelet
-from .errors import DataError, ParameterError, WavetrafficError
+from .errors import DataError, DimensionError, ParameterError, WavetrafficError
 from .graph import (GraphBundle, StadMatrix, StrgMask, build_graph_bundle, build_stag,
                     scaled_laplacian)
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -43,7 +43,6 @@ def _add_model_flags(sub, level=True):
         sub.add_argument("--level", type=int, default=None,
                          help="wavelet decomposition level (0 disables the transform)")
     sub.add_argument("--channels", type=int, default=None)
-    sub.add_argument("--filter", dest="filter_name", default=None, choices=wavelet.FILTER_NAMES)
 
 
 def _add_train_flags(sub):
@@ -63,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="write per-band wavelet components as CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--filter", default="haar", choices=wavelet.FILTER_NAMES)
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--out-dir", required=True)
 
@@ -118,11 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_decompose(args) -> int:
     x = data_io.load_csv(args.input)
-    fits = [j for j in range(1, 64) if wavelet.filter_width(args.filter, j) <= x.shape[-1]]
+    filt = ModelConfig.filter_name  # the bands that the model's attention sees
+    fits = [j for j in range(1, 64) if wavelet.filter_width(filt, j) <= x.shape[-1]]
     if args.level not in fits:
-        raise ParameterError(f"--level must be in 1..{len(fits)} for the {args.filter} filter "
+        raise ParameterError(f"--level must be in 1..{len(fits)} for the {filt} filter "
                              f"on a {x.shape[-1]}-step series, got {args.level}")
-    comps = wavelet.mra(x, args.filter, args.level)
+    comps = wavelet.mra(x, filt, args.level)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = [f"detail{j}" for j in range(1, args.level + 1)] + [f"smooth{args.level}"]
@@ -160,14 +159,20 @@ def _prepare_training(args):
     _check_p_sp(args.p_sp)
     train_cfg = _config(training.TrainConfig, args)
     x = data_io.load_csv(args.data)
-    train_seg, val_seg, test_seg = training.split(x)
-    stats = training.compute_stats(train_seg)
+    segs = dict(zip(("train", "val", "test"), training.split(x)))
+    stats = training.compute_stats(segs["train"])
     cfg = _config(ModelConfig, args, nodes=len(x))  # nodes comes from the data
-    bundle = build_graph_bundle(train_seg[:, 0, :], p_sp=args.p_sp)
+    bundle = build_graph_bundle(segs["train"][:, 0, :], p_sp=args.p_sp)
     _print_graph_size(bundle.a_stag)
-    tr, va, te = (training.make_windows(training.normalize(seg, stats))
-                  for seg in (train_seg, val_seg, test_seg))
-    return cfg, bundle, stats, train_cfg, (tr, va, te)
+    windows = [_windows(args.data, name, seg, stats) for name, seg in segs.items()]
+    return cfg, bundle, stats, train_cfg, windows
+
+
+def _windows(path, name, seg, stats):
+    try:  # a segment too short for one window is named with its file
+        return training.make_windows(training.normalize(seg, stats))
+    except DimensionError as exc:
+        raise DimensionError(f"{path}: {name}: {exc}") from None
 
 
 def _cmd_train(args) -> int:
@@ -233,7 +238,7 @@ def _cmd_forecast(args) -> int:
     if args.segment != "all":
         segs = dict(zip(("train", "val", "test"), training.split(x)))
         x = segs[args.segment]
-    windows = training.make_windows(training.normalize(x, stats))
+    windows = _windows(args.data, args.segment, x, stats)
     y, pred = training.predict_windows(model, windows, stats)
     data_io.save_forecasts(args.out, y, pred)
     print(f"wrote {len(y)} x {model.cfg.nodes} x {model.cfg.horizon} forecasts to {args.out}")
@@ -241,6 +246,8 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_sweep_level(args) -> int:
+    if len(set(args.levels)) < len(args.levels):
+        raise ParameterError(f"--levels repeats a level: {' '.join(map(str, args.levels))}")
     base, bundle, stats, train_cfg, (tr, va, te) = _prepare_training(args)
     # every level's config is checked before the first one trains
     configs = [dataclasses.replace(base, level=level) for level in args.levels]

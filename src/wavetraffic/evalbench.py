@@ -123,6 +123,9 @@ class ErrorTable:
                 f"error table shape {v.shape} does not match "
                 f"{len(self.models)} models x {len(self.datasets)} datasets"
             )
+        repeated = [m for i, m in enumerate(self.models) if m in self.models[:i]]
+        if repeated:
+            raise ParameterError(f"error table repeats model {repeated[0]!r}")
         bad = np.argwhere(~np.isfinite(v) | (v < 0))
         if len(bad):
             i, j = bad[0]

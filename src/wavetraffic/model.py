@@ -41,15 +41,14 @@ class ModelConfig:
     heads: int = 3
     level: int = 2  # wavelet decomposition level; 0 disables the transform
     channels: int = 32
-    filter_name: str = "haar"
 
+    filter_name: typing.ClassVar[str] = "haar"  # the wavelet filter of the band decomposition
     horizon: typing.ClassVar[int] = 12  # forecast steps: one hour at 5-minute sampling
     # the gated branches' pooled lengths (12-s+1)/2 = 5, 4, 3 sum back to the window
     window: typing.ClassVar[int] = 12
     kernel_sizes: typing.ClassVar[tuple] = (3, 5, 7)
     pool_window: typing.ClassVar[int] = 2  # gated-branch average pooling
     in_channels: typing.ClassVar[int] = 1  # one volume series per sensor
-    eps: typing.ClassVar[float] = 1e-8  # layer-norm variance floor
     cheb_order: typing.ClassVar[int] = 3  # Chebyshev polynomial order K of the graph conv
 
     def __post_init__(self):
@@ -197,7 +196,7 @@ class Model:
             return T.matmul(rows, w).reshape(bands, heads, b_sz, c, m, dh)
 
         q, k, v = project("wq"), project("wk"), project("wv")
-        logits = T.attention_logits(q, k, a_prev, 1.0 / np.sqrt(dh))  # (J, H, B, c, M, M)
+        logits = T.attention_logits(q, k, a_prev)  # (J, H, B, c, M, M)
         # carried logits stay per batch element so windows are processed
         # independently of how they are batched
         new_logits = logits.mean(axis=3, keepdims=True)
@@ -211,7 +210,7 @@ class Model:
         merged = T.matmul(merged, self._p(f"{pre}.wo"))
         fc_in = merged + rows.reshape(bands, b_sz * c * m, n)
         fc = T.matmul(fc_in, self._p(f"{pre}.fc_w")) + self._p(f"{pre}.fc_b")
-        out = T.layer_norm(fc, self._p(f"{pre}.ln_gain"), self._p(f"{pre}.ln_bias"), cfg.eps)
+        out = T.layer_norm(fc, self._p(f"{pre}.ln_gain"), self._p(f"{pre}.ln_bias"))
         combined = out.sum(axis=0).reshape(b_sz, c, m, n)
         return combined.transpose((0, 3, 1, 2)), new_logits
 
@@ -231,7 +230,7 @@ class Model:
         kh = T.matmul(rows, self._p(f"{pre}.wk")).reshape(order, b_sz, n, sh)
         qh = T.matmul(rows, self._p(f"{pre}.wq")).reshape(order, b_sz, n, sh)
         bias = self._p(f"{pre}.wm") * self._mask
-        return T.softmax_last(T.attention_logits(kh, qh, bias, 1.0 / np.sqrt(sh)))
+        return T.softmax_last(T.attention_logits(kh, qh, bias))
 
     def cheb_graph_conv(self, x: Tensor, attn: Tensor, block: int) -> Tensor:
         """z = sum_k ((T_k(Lt) * P^(k)) x) theta_k over the node axis.
@@ -262,12 +261,12 @@ class Model:
         branches = []
         for i in range(len(cfg.kernel_sizes)):
             q = T.conv1d(z, self._p(f"{pre}.kernel{i}"), bias=self._p(f"{pre}.kbias{i}"))
-            branches.append(T.gated_tanh_pool(q, c, cfg.pool_window))
+            branches.append(T.gated_tanh_pool(q, cfg.pool_window))
         z_out = T.relu(T.concat(branches, axis=-1) + z)
         if x_in.shape[2] != c:
             x_in = T.einsum("bncm,cd->bndm", x_in, self._p(f"{pre}.res_proj"))
         out = T.relu(x_in + z_out)
-        return T.layer_norm(out, self._p(f"{pre}.ln_gain"), self._p(f"{pre}.ln_bias"), cfg.eps)
+        return T.layer_norm(out, self._p(f"{pre}.ln_gain"), self._p(f"{pre}.ln_bias"))
 
     # -- full network ------------------------------------------------------
 

@@ -45,6 +45,9 @@ __all__ = [
     "huber_loss",
 ]
 
+LN_EPS = 1e-8  # layer-norm variance floor
+HUBER_DELTA = 1.0  # where the Huber loss turns from quadratic to linear
+
 
 class _GradMode(threading.local):
     enabled = True
@@ -279,7 +282,6 @@ def constant(data) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, batched over leading axes like ``np.matmul``."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise DimensionError(
             f"matmul: trailing extent of {a.shape} does not match leading extent of {b.shape}"
@@ -306,7 +308,6 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
     every operand index appears in the other operand or the output,
     which covers all contractions used by the model.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     lhs, out_sub = subscripts.replace(" ", "").split("->")
     sa, sb = lhs.split(",")
     data = np.einsum(subscripts, a.data, b.data)
@@ -323,7 +324,6 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     nodes = [t._node for t in tensors]
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
@@ -339,7 +339,6 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
     node = t._node
     mask = t.data > 0
     data = np.where(mask, t.data, 0.0)
@@ -383,7 +382,6 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
 
 def softmax_last(t: Tensor) -> Tensor:
     """Softmax along the last axis, max-shifted for stability."""
-    t = _as_tensor(t)
     node = t._node
     data = _softmax(t.data)
 
@@ -400,15 +398,15 @@ def softmax_last(t: Tensor) -> Tensor:
 # node (and no gradient array for one).
 
 
-def attention_logits(q: Tensor, k: Tensor, bias: Tensor, scale: float) -> Tensor:
-    """``q @ kᵀ * scale + bias``: attention logits in one node.
+def attention_logits(q: Tensor, k: Tensor, bias: Tensor) -> Tensor:
+    """``q @ kᵀ / sqrt(d) + bias``: scaled dot-product attention logits in one node.
 
     ``q`` (..., R, d) and ``k`` (..., S, d) give (..., R, S) logits;
     ``bias`` broadcasts to their shape.
     """
-    q, k, bias = _as_tensor(q), _as_tensor(k), _as_tensor(bias)
     if q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"attention_logits: feature extents of {q.shape} and {k.shape} differ")
+    scale = 1.0 / np.sqrt(q.shape[-1])
     k_t = np.swapaxes(k.data, -1, -2)
     data = np.matmul(q.data, k_t)
     data *= scale
@@ -433,7 +431,6 @@ def attention_logits(q: Tensor, k: Tensor, bias: Tensor, scale: float) -> Tensor
 
 def softmax_matmul(logits: Tensor, v: Tensor) -> Tensor:
     """``softmax_last(logits) @ v`` in one node; the weights stay in the closure."""
-    logits, v = _as_tensor(logits), _as_tensor(v)
     p = _softmax(logits.data)
     data = np.matmul(p, v.data)
     nl, nv, v_shape = logits._node, v._node, v.shape
@@ -449,19 +446,21 @@ def softmax_matmul(logits: Tensor, v: Tensor) -> Tensor:
     return Tensor._result(data, (logits, v), backward)
 
 
-def gated_tanh_pool(q: Tensor, c: int, window: int) -> Tensor:
-    """``tanh(q[..., :c, :]) * sigmoid(q[..., c:, :])`` mean-pooled over
-    non-overlapping windows of the last axis (remainder dropped), in one node.
+def gated_tanh_pool(q: Tensor, window: int) -> Tensor:
+    """``tanh(q[..., :c, :]) * sigmoid(q[..., c:, :])``, c half of the channel axis
+    (-2), mean-pooled over non-overlapping windows of the last axis, in one node.
 
-    The window mean is a sum of strided slices, added in the order of
-    ``mean``'s reduction for windows below 8, then divided by ``window``.
+    The window mean (a remainder is dropped) is a sum of strided slices, added in
+    the order of ``mean``'s reduction for windows below 8, then divided by ``window``.
     The gate's arrays are C-ordered whatever the layout of ``q``, so they
     line up with the pooled gradient; the backward writes both halves of
     the input gradient into one array laid out like ``q``.
     """
-    q = _as_tensor(q)
     if window < 1:
         raise ParameterError(f"gated_tanh_pool: window must be >= 1, got {window}")
+    c, odd = divmod(q.shape[-2], 2)
+    if odd:
+        raise DimensionError(f"gated_tanh_pool: odd channel extent in {q.shape}")
     node, shape, order = q._node, q.shape, _axis_order(q.data)
     n = q.shape[-1] // window * window
     th = np.tanh(q.data[..., :c, :], order="C")
@@ -491,19 +490,16 @@ def gated_tanh_pool(q: Tensor, c: int, window: int) -> Tensor:
     return Tensor._result(data, (q,), backward)
 
 
-def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+def layer_norm(t: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     One graph node. The forward repeats the arithmetic of the composed
     ops (mean as sum times 1/n, then the -0.5 power), so its values are
     the same bits; the backward is the closed-form layer-norm gradient.
     """
-    if eps <= 0:
-        raise ParameterError(f"layer_norm: eps must be positive, got {eps}")
-    t, gain, bias = _as_tensor(t), _as_tensor(gain), _as_tensor(bias)
     scale = 1.0 / t.shape[-1]
     centered = t.data - t.data.sum(axis=-1, keepdims=True) * scale
-    inv = np.power((centered * centered).sum(axis=-1, keepdims=True) * scale + eps, -0.5)
+    inv = np.power((centered * centered).sum(axis=-1, keepdims=True) * scale + LN_EPS, -0.5)
     normed = centered * inv
     data = normed * gain.data
     data += bias.data  # bias broadcasts to the shape of normed * gain
@@ -535,7 +531,6 @@ def conv1d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     window becomes one row of a (rows, C_in*s) matrix, rows running over
     the leading axes and T_out.
     """
-    t, kernel, bias = _as_tensor(t), _as_tensor(kernel), _as_tensor(bias)
     c_out, c_in, s = kernel.shape
     if t.shape[-2] != c_in:
         raise DimensionError(
@@ -577,9 +572,6 @@ def conv1d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return Tensor._result(data, (t, kernel, bias), backward)
 
 
-HUBER_DELTA = 1.0  # where the Huber loss turns from quadratic to linear
-
-
 def huber_value(err: np.ndarray) -> np.ndarray:
     """Elementwise Huber value: quadratic within ``HUBER_DELTA``, linear outside.
     The one formula of :func:`huber_loss` and ``fit``'s validation loss."""
@@ -589,7 +581,6 @@ def huber_value(err: np.ndarray) -> np.ndarray:
 
 def huber_loss(pred: Tensor, target) -> Tensor:
     """Mean Huber loss (:func:`huber_value`) with gradient clip(err) / n."""
-    pred = _as_tensor(pred)
     target = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
     if pred.shape != target.shape:
         raise DimensionError(f"huber_loss: shapes {pred.shape} and {target.shape} differ")

@@ -63,7 +63,7 @@ class TrainConfig:
     def __post_init__(self):
         # each range test is False for nan, and lr's upper bound rejects inf
         ok = {"epochs": self.epochs >= 1, "lr": 0 <= self.lr < math.inf,
-              "batch_size": self.batch_size >= 1}
+              "batch_size": self.batch_size >= 1, "seed": self.seed >= 0}
         bad = [f"{name}={getattr(self, name)!r}" for name, good in ok.items() if not good]
         if bad:
             raise ParameterError(f"invalid training configuration: {', '.join(bad)}")

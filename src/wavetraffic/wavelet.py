@@ -45,7 +45,6 @@ _d4_g = np.array([1.0 + np.sqrt(3.0), 3.0 + np.sqrt(3.0),
 
 # unit-energy base scaling (g) and wavelet (h) taps
 _FILTERS = {"haar": (_haar_g, _qmf(_haar_g)), "d4": (_d4_g, _qmf(_d4_g))}
-FILTER_NAMES = tuple(_FILTERS)  # the names get_filter knows, in lower case
 
 
 def get_filter(name: str) -> tuple[np.ndarray, np.ndarray]:

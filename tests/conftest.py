@@ -177,10 +177,13 @@ def composed_gated_tanh_pool(q, c, window):
     return ref_avg_pool_last(composed_gated_tanh(q, c), window)
 
 
+# the composed chains under the fused ops' signatures: the scale is 1/sqrt of
+# the feature extent, and the gate splits the channel axis in half
 COMPOSED_OPS = {
-    "attention_logits": composed_attention_logits,
+    "attention_logits": lambda q, k, bias: composed_attention_logits(
+        q, k, bias, 1.0 / np.sqrt(q.shape[-1])),
     "softmax_matmul": composed_softmax_matmul,
-    "gated_tanh_pool": composed_gated_tanh_pool,
+    "gated_tanh_pool": lambda q, window: composed_gated_tanh_pool(q, q.shape[-2] // 2, window),
 }
 
 

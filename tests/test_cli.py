@@ -240,7 +240,7 @@ class TestSettingsFlags:
     _NON_DEFAULT = [
         ("--blocks", "2", "blocks", 2), ("--width", "6", "width", 6),
         ("--heads", "11", "heads", 11), ("--level", "1", "level", 1),
-        ("--channels", "5", "channels", 5), ("--filter", "d4", "filter_name", "d4"),
+        ("--channels", "5", "channels", 5),
         ("--epochs", "3", "epochs", 3), ("--lr", "0.002", "lr", 0.002),
         ("--batch-size", "16", "batch_size", 16), ("--seed", "7", "seed", 7),
     ]
@@ -456,7 +456,6 @@ class TestSweepLevel:
 
     def test_too_wide_level_fails_before_any_training(self, dataset, tmp_path, capsys,
                                                       monkeypatch):
-        # level 3 of d4 is a 22-tap filter on the 12-step window; levels 1 and 2 fit
         fits = []
         fit = training.fit
 
@@ -466,11 +465,16 @@ class TestSweepLevel:
         monkeypatch.setattr(training, "fit", counted)
         data_path, _ = dataset
         out = tmp_path / "sweep.csv"
-        assert main(["sweep-level", "--data", str(data_path), "--filter", "d4",
-                     "--levels", "1", "2", "3", "--out", str(out), *_FAST_SWEEP]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "22 taps" in err and "12-step window" in err
-        assert fits == [] and not out.exists()
+        for levels, message in [
+            # level 4 of haar is a 16-tap filter on the 12-step window; levels 1 and 2 fit
+            (["1", "2", "4"], "level-4 haar filter has 16 taps, more than the 12-step window"),
+            # a repeated level would train twice and write two rows of one level
+            (["1", "1"], "--levels repeats a level: 1 1"),
+        ]:
+            assert main(["sweep-level", "--data", str(data_path), "--levels", *levels,
+                         "--out", str(out), *_FAST_SWEEP]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert fits == [] and not out.exists()
 
 
 class TestUsageErrors:
@@ -501,8 +505,11 @@ class TestMalformedInput:
         ("train", ["--epochs", "0"], "epochs=0"),
         ("sweep-level", ["--epochs", "0"], "epochs=0"),
         ("train", ["--lr", "inf", "--epochs", "0"], "epochs=0, lr=inf"),
+        # numpy's generator takes no negative seed
+        ("train", ["--seed", "-1"], "seed=-1"),
+        ("sweep-level", ["--seed", "-1"], "seed=-1"),
     ], ids=["lr_nan", "lr_inf", "train_epochs_zero", "sweep_level_epochs_zero",
-            "lr_inf_and_epochs_zero"])
+            "lr_inf_and_epochs_zero", "train_seed_negative", "sweep_level_seed_negative"])
     def test_bad_training_setting(self, dataset, tmp_path, capsys, command, flags, message):
         data_path, _ = dataset
         self._fails_cleanly([command, "--data", str(data_path), "--out", str(tmp_path / "run"),
@@ -533,19 +540,23 @@ class TestMalformedInput:
         ("train", ["--huber-delta", "1.0"]),
         ("sweep-level", ["--cheb-order", "3"]),
         ("sweep-level", ["--huber-delta", "1.0"]),
+        ("train", ["--filter", "haar"]),
+        ("sweep-level", ["--filter", "haar"]),
+        ("decompose", ["--filter", "haar"]),
     ], ids=["build-graph-stad-window", "train-stad-window", "sweep-level-stad-window",
             "train-config", "sweep-level-config", "train-split", "sweep-level-split",
             "forecast-split", "train-cheb-order", "train-huber-delta",
-            "sweep-level-cheb-order", "sweep-level-huber-delta"])
+            "sweep-level-cheb-order", "sweep-level-huber-delta", "train-filter",
+            "sweep-level-filter", "decompose-filter"])
     def test_removed_option_exits_two(self, dataset, tmp_path, capsys, command, removed):
         # the distance graph is built from the whole training series, settings
-        # enter by flags only, and the split, Chebyshev order and Huber delta
-        # are constants
+        # enter by flags only, and the split, Chebyshev order, Huber delta and
+        # wavelet filter are constants
         data_path, _ = dataset
         out = tmp_path / "out"
         fast = {"sweep-level": _FAST_SWEEP, "train": _FAST_TRAIN}.get(command, [])
         io_flags = (["--input", str(data_path), "--out-dir", str(out)]
-                    if command == "build-graph"
+                    if command in ("build-graph", "decompose")
                     else ["--data", str(data_path), "--out", str(out), *fast])
         if command == "forecast":
             io_flags += ["--checkpoint", str(tmp_path / "checkpoint.bin")]
@@ -617,6 +628,7 @@ class TestMalformedInput:
         ("geometry_in_config", "checkpoint config: unknown key(s): kernel_sizes, window"),
         ("horizon_in_config", "checkpoint config: unknown key(s): horizon"),
         ("cheb_order_in_config", "checkpoint config: unknown key(s): cheb_order"),
+        ("filter_name_in_config", "checkpoint config: unknown key(s): filter_name"),
         ("config_line_without_equals", "checkpoint config: malformed line 'blocks 1'"),
         ("config_blank_line", "checkpoint config: malformed line ''"),
         ("config_comment_line", "checkpoint config: malformed line '# saved by hand'"),
@@ -627,7 +639,6 @@ class TestMalformedInput:
         # values that ModelConfig rejects
         ("heads_not_dividing_width",
          "checkpoint config: width 3 not divisible by head count 2"),
-        ("unknown_filter", "checkpoint config: unknown wavelet filter 'db2'"),
         ("zero_blocks", "checkpoint config: ModelConfig.blocks must be positive"),
         ("level_wider_than_window",
          "checkpoint config: level-9 haar filter has 512 taps, more than the 12-step window"),
@@ -665,18 +676,18 @@ class TestMalformedInput:
             "unknown_config_key": ("config.txt", lambda data: data + b"dropout=1\n"),
             # the lines a checkpoint written before these became constants carries
             "constants_in_config": ("config.txt", lambda data: data.replace(
-                b"channels=", b"pool_window=2\nchannels=").replace(
-                b"filter_name=", b"in_channels=1\nfilter_name=") + b"eps=1e-08\n"),
+                b"channels=", b"pool_window=2\nchannels=") + b"in_channels=1\neps=1e-08\n"),
             # the lines a checkpoint written before the geometry became constant carries
             "geometry_in_config": ("config.txt", lambda data: data.replace(
-                b"channels=", b"kernel_sizes=3,5,7\nchannels=").replace(
-                b"filter_name=", b"window=12\nfilter_name=")),
+                b"channels=", b"kernel_sizes=3,5,7\nchannels=") + b"window=12\n"),
             # the line a checkpoint written before the horizon became constant carries
             "horizon_in_config": ("config.txt", lambda data: data.replace(
-                b"filter_name=", b"horizon=12\nfilter_name=")),
+                b"level=", b"horizon=12\nlevel=")),
             # the line a checkpoint written before the Chebyshev order became constant carries
             "cheb_order_in_config": ("config.txt", lambda data: data.replace(
                 b"channels=", b"cheb_order=3\nchannels=")),
+            # the line a checkpoint written before the wavelet filter became constant carries
+            "filter_name_in_config": ("config.txt", lambda data: data + b"filter_name=haar\n"),
             "config_line_without_equals": ("config.txt",
                                            lambda data: data.replace(b"blocks=1", b"blocks 1")),
             # the parser reads only what the writer writes: no blank or comment lines
@@ -689,8 +700,6 @@ class TestMalformedInput:
             "no_nodes": ("config.txt", lambda data: data.replace(b"nodes=4\n", b"")),
             "heads_not_dividing_width": ("config.txt",
                                          lambda data: data.replace(b"heads=3", b"heads=2")),
-            "unknown_filter": ("config.txt", lambda data: data.replace(b"filter_name=haar",
-                                                                       b"filter_name=db2")),
             "zero_blocks": ("config.txt", lambda data: data.replace(b"blocks=1", b"blocks=0")),
             "level_wider_than_window": ("config.txt",
                                         lambda data: data.replace(b"level=1", b"level=9")),
@@ -780,8 +789,9 @@ class TestMalformedInput:
          "error table entry 'beta', 'd1' is -2.0; entries must be finite and nonnegative"),
         ("model,d1,d2\n", "mcb needs at least 2 models and 1 dataset"),
         ("model,d1,d2\nalpha,1.0,1.1\n", "mcb needs at least 2 models and 1 dataset"),
+        ("model,d1,d2\nm1,1.0,1.1\nm2,2.0,1.2\nm1,3.0,1.3\n", "error table repeats model 'm1'"),
     ], ids=["non_numeric_cell", "ragged_row", "empty_file", "nan_cell", "negative_cell",
-            "header_only", "one_model"])
+            "header_only", "one_model", "repeated_model"])
     def test_mcb_malformed_table(self, tmp_path, capsys, text, message):
         table = tmp_path / "errors.csv"
         table.write_text(text)
@@ -829,6 +839,19 @@ class TestMalformedInput:
                  "--test", str(bad)])
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {bad}: row 2 after the header has pred = nan\n"
+        assert not out.exists()
+
+    def test_segment_too_short_for_one_window(self, trained, dataset, tmp_path, capsys):
+        # 100 steps split 60:20:20, and one window needs 12 + 12 steps
+        short = tmp_path / "short.csv"
+        data_io.save_csv(short, dataset[1][..., :100])
+        out = tmp_path / "out"
+        message = f"error: {short}: val: segment length 20 shorter than input+horizon = 24\n"
+        assert main(["train", "--data", str(short), "--out", str(out), *_FAST_TRAIN]) == 1
+        assert capsys.readouterr().err == message
+        assert main(["forecast", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--data", str(short), "--segment", "val", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     def test_forecast_sensor_count_differs_from_checkpoint(self, trained, tmp_path, capsys):

@@ -163,6 +163,11 @@ class TestErrorTable:
         with pytest.raises(ParameterError, match="entry 'a', 'e' is -0.5"):
             ev.ErrorTable(np.array([[1.0, -0.5], [-1.0, 2.0]]), ["a", "b"], ["d", "e"])
 
+    def test_rejects_repeated_model(self):
+        # two rows of one name would make the best model ambiguous
+        with pytest.raises(ParameterError, match="error table repeats model 'b'"):
+            ev.ErrorTable(np.ones((4, 1)), ["a", "b", "c", "b"], ["d"])
+
 
 class TestMcb:
     def _table(self, values, models=None):

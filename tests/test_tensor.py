@@ -83,17 +83,17 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.data, np.zeros(3), atol=1e-3)
 
     def test_two_point_slice(self):
-        out = T.layer_norm(Tensor([1.0, 3.0]), Tensor(1.0), Tensor(0.0), eps=1e-12)
-        np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-9)
+        # variance 1, so each entry is divided by sqrt(1 + LN_EPS)
+        out = T.layer_norm(Tensor([1.0, 3.0]), Tensor(1.0), Tensor(0.0))
+        np.testing.assert_allclose(out.data, np.array([-1.0, 1.0]) / np.sqrt(1.0 + T.LN_EPS),
+                                   rtol=1e-15, atol=0)
 
     def test_unit_variance(self):
+        # a slice of variance v comes out with variance v / (v + LN_EPS)
         x = Tensor(_rand((16, 64), 8))
-        out = T.layer_norm(x, Tensor(1.0), Tensor(0.0), eps=1e-12).data
-        np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-6)
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ParameterError):
-            T.layer_norm(Tensor([1.0, 2.0]), Tensor(1.0), Tensor(0.0), eps=0.0)
+        out = T.layer_norm(x, Tensor(1.0), Tensor(0.0)).data
+        v = x.data.var(axis=-1)
+        np.testing.assert_allclose(out.var(axis=-1), v / (v + T.LN_EPS), rtol=1e-12, atol=0)
 
     def test_gradient(self):
         x = Tensor(_rand((3, 6), 9), requires_grad=True)
@@ -124,9 +124,9 @@ class TestLayerNormMatchesComposedOps:
                   rng.normal(size=affine_shape)]
         g = rng.normal(size=x_shape)
         results = []
-        for fn in (T.layer_norm, _composed_layer_norm):
+        for fn in (T.layer_norm, lambda *a: _composed_layer_norm(*a, T.LN_EPS)):
             x, gain, bias = (Tensor(a, requires_grad=True) for a in arrays)
-            out = fn(x, gain, bias, 1e-8)
+            out = fn(x, gain, bias)
             Graph().backward((out * g).sum())
             results.append((out.data, x.grad, gain.grad, bias.grad))
         (out, *grads), (ref_out, *ref_grads) = results
@@ -169,7 +169,7 @@ class TestFusedOpsMatchComposedOps:
         arrays = [rng.normal(size=lead + (dh,)), rng.normal(size=lead + (dh,)),
                   rng.normal(size=bias_shape)]
         scale = 1.0 / np.sqrt(dh)
-        _assert_bit_equal(lambda q, k, b: T.attention_logits(q, k, b, scale),
+        _assert_bit_equal(T.attention_logits,
                           lambda q, k, b: composed_attention_logits(q, k, b, scale), arrays)
 
     @pytest.mark.parametrize("dh", [1, 11])
@@ -180,13 +180,11 @@ class TestFusedOpsMatchComposedOps:
         rng = np.random.default_rng(dh + 1)
         arrays = [rng.normal(size=lead + (dh,)) for _ in range(3)] + [rng.normal(size=bias_shape)]
         scale = 1.0 / np.sqrt(dh)
+        _assert_bit_equal(lambda q, k, v, b: T.softmax_matmul(T.attention_logits(q, k, b), v),
+                          lambda q, k, v, b: composed_softmax_matmul(
+                              composed_attention_logits(q, k, b, scale), v), arrays)
 
-        def chain(logits_op, softmax_matmul_op):
-            return lambda q, k, v, b: softmax_matmul_op(logits_op(q, k, b, scale), v)
-
-        _assert_bit_equal(chain(T.attention_logits, T.softmax_matmul),
-                          chain(composed_attention_logits, composed_softmax_matmul), arrays)
-
+    # c is the composed chain's split: half the channel axis, which the fused op takes itself
     @pytest.mark.parametrize("q_shape, c, window, layout", [
         ((3, 4, 8, 10), 4, 2, "conv1d"),  # a gated branch as conv1d lays it out
         ((3, 4, 8, 9), 4, 2, "conv1d"),  # a dropped remainder
@@ -199,22 +197,26 @@ class TestFusedOpsMatchComposedOps:
         q = np.random.default_rng(45).normal(size=q_shape)
         if layout == "conv1d":  # conv1d returns its (rows, C_out) product with axes swapped
             q = np.swapaxes(np.ascontiguousarray(np.swapaxes(q, -1, -2)), -1, -2)
-        _assert_bit_equal(lambda t: T.gated_tanh_pool(t, c, window),
+        _assert_bit_equal(lambda t: T.gated_tanh_pool(t, window),
                           lambda t: composed_gated_tanh_pool(t, c, window), [q])
 
     def test_gated_tanh_pool_gradient_keeps_the_input_layout(self):
         q = Tensor(np.swapaxes(_rand((2, 3, 10, 8), 46), -1, -2), requires_grad=True)
-        Graph().backward(T.gated_tanh_pool(q, 4, 2).sum())
+        Graph().backward(T.gated_tanh_pool(q, 2).sum())
         assert q.grad.strides == q.data.strides
 
     def test_gated_tanh_pool_rejects_empty_window(self):
         with pytest.raises(ParameterError):
-            T.gated_tanh_pool(Tensor(np.ones((4, 6))), 2, 0)
+            T.gated_tanh_pool(Tensor(np.ones((4, 6))), 0)
+
+    def test_gated_tanh_pool_rejects_odd_channel_extent(self):
+        # the gate splits the channel axis in half
+        with pytest.raises(DimensionError, match=r"odd channel extent in \(2, 3, 6\)"):
+            T.gated_tanh_pool(Tensor(np.ones((2, 3, 6))), 2)
 
     def test_attention_logits_rejects_feature_mismatch(self):
         with pytest.raises(DimensionError):
-            T.attention_logits(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))),
-                               Tensor(0.0), 1.0)
+            T.attention_logits(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(0.0))
 
 
 class TestFusedOpGradients:
@@ -223,7 +225,7 @@ class TestFusedOpGradients:
         k = Tensor(_rand((2, 5, 4), 51), requires_grad=True)
         bias = Tensor(_rand((1, 3, 5), 52), requires_grad=True)
         w = _rand((2, 3, 5), 53)
-        gradcheck_op(lambda: (T.attention_logits(q, k, bias, 0.5) * w).sum(), [q, k, bias])
+        gradcheck_op(lambda: (T.attention_logits(q, k, bias) * w).sum(), [q, k, bias])
 
     def test_softmax_matmul(self):
         logits = Tensor(_rand((2, 3, 5), 54), requires_grad=True)
@@ -236,7 +238,7 @@ class TestFusedOpGradients:
         # length 7 leaves a remainder for both windows
         q = Tensor(_rand((2, 3, 4, 7), 57), requires_grad=True)
         w = _rand((2, 3, 2, 7 // window), 58)
-        gradcheck_op(lambda: (T.gated_tanh_pool(q, 2, window) * w).sum(), [q])
+        gradcheck_op(lambda: (T.gated_tanh_pool(q, window) * w).sum(), [q])
 
 
 class TestConv1d:
@@ -364,7 +366,7 @@ class TestClosuresKeepOnlyWhatTheyRead:
     def test_logits_die_once_only_the_consumer_is_held(self):
         q, k, v = (Tensor(_rand(shape, seed), requires_grad=True)
                    for shape, seed in (((2, 3, 4), 64), ((2, 5, 4), 65), ((2, 5, 4), 66)))
-        logits = T.attention_logits(q, k, Tensor(_rand((3, 5), 67)), 0.5)
+        logits = T.attention_logits(q, k, Tensor(_rand((3, 5), 67)))
         alive = weakref.ref(logits.data)
         out = T.softmax_matmul(logits, v)
         del logits
@@ -453,7 +455,7 @@ class TestGradientHandover:
             "concat_self": lambda: (T.concat([a, a], axis=0) * _rand((6, 4), 91)).sum()
                                    + (a * b.transpose((1, 0))).sum(),
             "attention_logits_full_bias": lambda: (T.attention_logits(
-                a, b.transpose((1, 0)), T.matmul(a, b), 0.5) * _rand((3, 3), 92)).sum(),
+                a, b.transpose((1, 0)), T.matmul(a, b)) * _rand((3, 3), 92)).sum(),
             "layer_norm_full_bias": lambda: (T.layer_norm(
                 b.transpose((1, 0)), Tensor(_rand((4,), 93)), a) * _rand((3, 4), 94)).sum()
                                             + (a * a).sum(),
@@ -583,8 +585,8 @@ class TestInPlaceKernelsMatchFrozenFormulas:
         k = _special_rows(seed=85)[::-1].reshape(2, 9, 5)
         bias = np.resize(_special_rows(seed=86), (9, 9))
         with np.errstate(invalid="ignore", over="ignore"):
-            ref = np.matmul(q, np.swapaxes(k, -1, -2)) * 0.25 + bias
-            got = T.attention_logits(Tensor(q), Tensor(k), Tensor(bias), 0.25).data
+            ref = np.matmul(q, np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(5)) + bias
+            got = T.attention_logits(Tensor(q), Tensor(k), Tensor(bias)).data
         _same_bits(got, ref)
 
     @pytest.mark.parametrize("affine_shape", [(5,), (3, 1, 5), ()])
@@ -592,13 +594,13 @@ class TestInPlaceKernelsMatchFrozenFormulas:
         t = _special_rows(seed=87).reshape(3, 6, 5)
         gain = np.resize(_special_rows(seed=88)[::-1], affine_shape)
         bias = np.resize(_special_rows(seed=89), affine_shape)
-        eps = 1e-8
+        eps = T.LN_EPS
         with np.errstate(invalid="ignore", over="ignore"):
             scale = 1.0 / t.shape[-1]
             centered = t - t.sum(axis=-1, keepdims=True) * scale
             inv = np.power((centered * centered).sum(axis=-1, keepdims=True) * scale + eps, -0.5)
             ref = centered * inv * gain + bias
-            got = T.layer_norm(Tensor(t), Tensor(gain), Tensor(bias), eps).data
+            got = T.layer_norm(Tensor(t), Tensor(gain), Tensor(bias)).data
         _same_bits(got, ref)
 
 
