@@ -3,25 +3,28 @@
 Exit codes: 0 success, 1 runtime/data error, 2 usage error. Every
 subcommand is deterministic for fixed inputs, flags, and seeds.
 
-Settings enter by flags only: each flag of ``train`` and ``sweep-level``
-sets the ``ModelConfig`` or ``TrainConfig`` field of its name, and a flag
-left out keeps that field's default. The train:val:test split is the
-constant 6:2:2 of ``training.SplitSpec()``, so ``forecast`` cuts as ``train`` did.
+Settings enter by flags only: ``train`` and ``sweep-level`` generate a flag, typed
+as the field, for each ``ModelConfig`` field but ``nodes`` and each ``TrainConfig``
+field; a flag left out keeps the field's default. The split is the constant 6:2:2 of
+``training.SplitSpec()``, so ``forecast`` cuts as ``train`` did. An error about an
+input file names the file (``_about``). ``mcb`` ranks ties at the group's max rank.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import conformal as cp
 from . import data_io, evalbench, training, wavelet
-from .errors import DataError, DimensionError, ParameterError, WavetrafficError
+from .errors import DataError, ParameterError, WavetrafficError
 from .graph import (GraphBundle, StadMatrix, StrgMask, build_graph_bundle, build_stag,
                     scaled_laplacian)
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -35,22 +38,23 @@ def _config(cls, args, **given):
     return cls(**given, **{key: value for key, value in flags.items() if value is not None})
 
 
-def _add_model_flags(sub, level=True):
-    sub.add_argument("--blocks", type=int, default=None)
-    sub.add_argument("--width", type=int, default=None)
-    sub.add_argument("--heads", type=int, default=None)
-    if level:
-        sub.add_argument("--level", type=int, default=None,
-                         help="wavelet decomposition level (0 disables the transform)")
-    sub.add_argument("--channels", type=int, default=None)
+def _add_settings_flags(sub, skip=()):
+    """A ``--field-name`` flag per config field, typed as the field and ``None`` if unset."""
+    for cls in (ModelConfig, training.TrainConfig):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.name not in ("nodes", *skip):  # nodes comes from the data
+                sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                                 type=hints[f.name], default=None)
 
 
-def _add_train_flags(sub):
-    sub.add_argument("--epochs", type=int, default=None)
-    sub.add_argument("--lr", type=float, default=None)
-    sub.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--p-sp", dest="p_sp", type=float, default=0.01)
+@contextlib.contextmanager
+def _about(*where):
+    """Prefix a ``WavetrafficError`` raised inside with ``where``: a file, then any segment."""
+    try:
+        yield
+    except WavetrafficError as exc:
+        raise type(exc)(": ".join(map(str, (*where, exc)))) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,14 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-graph", help="write STAD/STRG/STAG matrices as CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--p-sp", dest="p_sp", type=float, default=0.01)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("train", help="train a forecaster and write a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    _add_train_flags(p)
-    _add_model_flags(p)
+    _add_settings_flags(p)
 
     p = sub.add_parser("forecast", help="roll a checkpoint over sliding windows")
     p.add_argument("--checkpoint", required=True)
@@ -88,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--levels", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
-    _add_model_flags(p, level=False)
+    _add_settings_flags(p, skip=["level"])
 
     p = sub.add_parser("conformal", help="interval forecasts from calibration + test forecasts")
     p.add_argument("--calibration", required=True, help="forecast CSV of the calibration split")
@@ -106,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True,
                    help="CSV: first column model names, remaining columns datasets")
     p.add_argument("--gamma", type=float, default=0.05, choices=sorted(evalbench.TUKEY_TABLE))
-    p.add_argument("--ties", default="max", choices=["max", "mid"])
     p.add_argument("--out", required=True)
+    for name in ("build-graph", "train", "sweep-level"):  # the graph's sparsity
+        sub.choices[name].add_argument("--p-sp", dest="p_sp", type=float, default=0.01)
     return parser
 
 
@@ -118,6 +120,9 @@ def _cmd_decompose(args) -> int:
     x = data_io.load_csv(args.input)
     filt = ModelConfig.filter_name  # the bands that the model's attention sees
     fits = [j for j in range(1, 64) if wavelet.filter_width(filt, j) <= x.shape[-1]]
+    if not fits:
+        with _about(args.input):
+            raise DataError(f"a {x.shape[-1]}-step series is too short for any {filt} level")
     if args.level not in fits:
         raise ParameterError(f"--level must be in 1..{len(fits)} for the {filt} filter "
                              f"on a {x.shape[-1]}-step series, got {args.level}")
@@ -134,7 +139,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_build_graph(args) -> int:
     _check_p_sp(args.p_sp)
     x = data_io.load_csv(args.input)
-    bundle = build_graph_bundle(x[:, 0, :], p_sp=args.p_sp)
+    with _about(args.input):
+        bundle = build_graph_bundle(x[:, 0, :], p_sp=args.p_sp)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_io.save_table(out / "a_stad.csv", bundle.stad.adjacency)
@@ -159,20 +165,20 @@ def _prepare_training(args):
     _check_p_sp(args.p_sp)
     train_cfg = _config(training.TrainConfig, args)
     x = data_io.load_csv(args.data)
-    segs = dict(zip(("train", "val", "test"), training.split(x)))
+    with _about(args.data):
+        segs = dict(zip(("train", "val", "test"), training.split(x)))
     stats = training.compute_stats(segs["train"])
     cfg = _config(ModelConfig, args, nodes=len(x))  # nodes comes from the data
-    bundle = build_graph_bundle(segs["train"][:, 0, :], p_sp=args.p_sp)
+    with _about(args.data):
+        bundle = build_graph_bundle(segs["train"][:, 0, :], p_sp=args.p_sp)
     _print_graph_size(bundle.a_stag)
     windows = [_windows(args.data, name, seg, stats) for name, seg in segs.items()]
     return cfg, bundle, stats, train_cfg, windows
 
 
 def _windows(path, name, seg, stats):
-    try:  # a segment too short for one window is named with its file
+    with _about(path, name):  # e.g. a segment too short for one window
         return training.make_windows(training.normalize(seg, stats))
-    except DimensionError as exc:
-        raise DimensionError(f"{path}: {name}: {exc}") from None
 
 
 def _cmd_train(args) -> int:
@@ -195,49 +201,48 @@ def _cmd_train(args) -> int:
 
 def _model_from_checkpoint(path):
     cfg, state, extras = load_checkpoint(path)
-    n = cfg.nodes
-    shapes = {"a_stad": (n, n), "strg_mask": (n, n), "norm_mean": (n,), "norm_std": (n,)}
-    missing = sorted(shapes.keys() - extras.keys())
-    if missing:
-        raise DataError(f"{path}: checkpoint lacks {', '.join(f'extra/{m}' for m in missing)}")
-    for name, shape in shapes.items():
-        if extras[name].shape != shape:
-            raise DataError(f"{path}: extra/{name} has shape {extras[name].shape}, "
-                            f"expected {shape} for {n} nodes")
-    std = extras["norm_std"]
-    bad = np.count_nonzero(std <= 0)
-    if bad:
-        raise DataError(f"{path}: extra/norm_std has {bad} non-positive entries")
-    mask = extras["strg_mask"]
-    bad = np.count_nonzero((mask != 0) & (mask != 1))
-    if bad:
-        raise DataError(f"{path}: extra/strg_mask has {bad} entries other than 0 and 1")
-    a_stad = extras["a_stad"]
-    # build_stad's output is symmetric and nonnegative, as scaled_laplacian needs build_stag's
-    bad = np.count_nonzero((a_stad != a_stad.T) | (a_stad < 0))
-    if bad:
-        raise DataError(f"{path}: extra/a_stad has {bad} negative or asymmetric entries")
-    stats = training.NormalizationStats(mean=extras["norm_mean"], std=std)
-    stad, strg = StadMatrix(a_stad), StrgMask(mask)
-    a_stag = build_stag(stad, strg)
-    bundle = GraphBundle(stad, strg, a_stag, scaled_laplacian(a_stag))
-    model = Model(cfg, bundle)
-    try:
+    with _about(path):
+        n = cfg.nodes
+        shapes = {"a_stad": (n, n), "strg_mask": (n, n), "norm_mean": (n,), "norm_std": (n,)}
+        missing = sorted(shapes.keys() - extras.keys())
+        if missing:
+            raise DataError(f"checkpoint lacks {', '.join(f'extra/{m}' for m in missing)}")
+        for name, shape in shapes.items():
+            if extras[name].shape != shape:
+                raise DataError(f"extra/{name} has shape {extras[name].shape}, "
+                                f"expected {shape} for {n} nodes")
+        std = extras["norm_std"]
+        bad = np.count_nonzero(std <= 0)
+        if bad:
+            raise DataError(f"extra/norm_std has {bad} non-positive entries")
+        mask = extras["strg_mask"]
+        bad = np.count_nonzero((mask != 0) & (mask != 1))
+        if bad:
+            raise DataError(f"extra/strg_mask has {bad} entries other than 0 and 1")
+        a_stad = extras["a_stad"]
+        # build_stad's output is symmetric and nonnegative, as scaled_laplacian needs build_stag's
+        bad = np.count_nonzero((a_stad != a_stad.T) | (a_stad < 0))
+        if bad:
+            raise DataError(f"extra/a_stad has {bad} negative or asymmetric entries")
+        stats = training.NormalizationStats(mean=extras["norm_mean"], std=std)
+        stad, strg = StadMatrix(a_stad), StrgMask(mask)
+        a_stag = build_stag(stad, strg)
+        bundle = GraphBundle(stad, strg, a_stag, scaled_laplacian(a_stag))
+        model = Model(cfg, bundle)
         model.graph.load_state(state)
-    except WavetrafficError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
     return model, stats
 
 
 def _cmd_forecast(args) -> int:
     model, stats = _model_from_checkpoint(args.checkpoint)
     x = data_io.load_csv(args.data)
-    if len(x) != model.cfg.nodes:
-        raise DataError(f"{args.data}: {len(x)} sensors, but the checkpoint "
-                        f"was trained on {model.cfg.nodes}")
-    if args.segment != "all":
-        segs = dict(zip(("train", "val", "test"), training.split(x)))
-        x = segs[args.segment]
+    with _about(args.data):
+        if len(x) != model.cfg.nodes:
+            raise DataError(f"{len(x)} sensors, but the checkpoint "
+                            f"was trained on {model.cfg.nodes}")
+        if args.segment != "all":
+            segs = dict(zip(("train", "val", "test"), training.split(x)))
+            x = segs[args.segment]
     windows = _windows(args.data, args.segment, x, stats)
     y, pred = training.predict_windows(model, windows, stats)
     data_io.save_forecasts(args.out, y, pred)
@@ -257,8 +262,9 @@ def _cmd_sweep_level(args) -> int:
         result = training.fit(model, tr, va, train_cfg)
         model.graph.load_state(result.best_state)
         y, pred = training.predict_windows(model, te, stats)
-        rows.append([cfg.level, evalbench.mape(y, pred), evalbench.mae(y, pred),
-                     evalbench.rmse(y, pred)])
+        with _about(args.data, "test"):
+            rows.append([cfg.level, evalbench.mape(y, pred), evalbench.mae(y, pred),
+                         evalbench.rmse(y, pred)])
     data_io.save_table(args.out, rows, header=["level", "mape", "mae", "rmse"])
     print(f"wrote {len(rows)}-row level sweep to {args.out}")
     return 0
@@ -273,8 +279,9 @@ def _cmd_conformal(args) -> int:
                              f"that can give a finite band at --beta {args.beta}")
     y_cal, pred_cal, _ = data_io.load_forecasts(args.calibration)
     y_test, pred_test, _ = data_io.load_forecasts(args.test)
-    lo, hi = cp.calibrate_stream(y_cal, pred_cal, y_test, pred_test,
-                                 window=args.alpha, beta=args.beta)
+    with _about(args.test):  # the file that the bands are for
+        lo, hi = cp.calibrate_stream(y_cal, pred_cal, y_test, pred_test,
+                                     window=args.alpha, beta=args.beta)
     data_io.save_forecasts(args.out, y_test, pred_test, intervals=(lo, hi))
     for step in range(y_test.shape[2]):
         cov = cp.empirical_coverage(lo[:, :, step], hi[:, :, step], y_test[:, :, step])
@@ -284,13 +291,11 @@ def _cmd_conformal(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     y, pred, _ = data_io.load_forecasts(args.forecasts)
-    overall = {name: getattr(evalbench, name)(y, pred) for name in ("mae", "mape", "rmse")}
-    steps = {name: evalbench.stepwise_errors(y, pred, name) for name in overall}
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "overall"] + [f"step{s+1}" for s in range(y.shape[-1])])
-        for name, value in overall.items():
-            writer.writerow([name, data_io.fmt(value)] + [data_io.fmt(v) for v in steps[name]])
+    with _about(args.forecasts):
+        overall = {name: getattr(evalbench, name)(y, pred) for name in ("mae", "mape", "rmse")}
+        steps = {name: evalbench.stepwise_errors(y, pred, name) for name in overall}
+    _write_named_rows(args.out, ["metric", "overall"] + [f"step{s+1}" for s in range(y.shape[-1])],
+                      [[name, value, *steps[name]] for name, value in overall.items()])
     step_mae = steps["mae"]
     print(f"MAE {overall['mae']:.6g} over {y.size} points "
           f"(stepwise MAE {step_mae[0]:.6g}..{step_mae[-1]:.6g}); wrote {args.out}")
@@ -300,38 +305,37 @@ def _cmd_evaluate(args) -> int:
 def _cmd_mcb(args) -> int:
     with data_io.open_text(args.table) as fh:
         rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{args.table}: empty file")
-    header = rows[0]
-    models, values = [], []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"{args.table}: row {r} has {len(row)} cells, expected {len(header)}")
-        try:
-            values.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise DataError(f"{args.table}: row {r}: {exc}") from None
-        models.append(row[0])
-    try:
+    with _about(args.table):
+        if not rows:
+            raise DataError("empty file")
+        header = rows[0]
+        models, values = [], []
+        for r, row in enumerate(rows[1:], start=2):
+            if len(row) != len(header):
+                raise DataError(f"row {r} has {len(row)} cells, expected {len(header)}")
+            try:
+                values.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise DataError(f"row {r}: {exc}") from None
+            models.append(row[0])
         table = evalbench.ErrorTable(np.reshape(values, (len(models), len(header) - 1)),
                                      models, header[1:])
-        result = evalbench.mcb(table, gamma=args.gamma, ties=args.ties)
-    except WavetrafficError as exc:
-        raise type(exc)(f"{args.table}: {exc}") from None
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "mean_rank", "interval_lo", "interval_hi",
-                         "significantly_worse"])
-        for i, name in enumerate(result.models):
-            writer.writerow([
-                name, data_io.fmt(result.mean_ranks[i]),
-                data_io.fmt(result.intervals[i, 0]), data_io.fmt(result.intervals[i, 1]),
-                int(result.significantly_worse[i]),
-            ])
+        result = evalbench.mcb(table, gamma=args.gamma)
+    ranked = zip(result.models, result.mean_ranks, *result.intervals.T, result.significantly_worse)
+    _write_named_rows(args.out, ["model", "mean_rank", "interval_lo", "interval_hi",
+                                 "significantly_worse"], ranked)
     best = result.models[result.best_index]
     print(f"best model {best!r} with mean rank {result.mean_ranks[result.best_index]:.4g}; "
           f"critical distance {result.critical_distance:.4g}")
     return 0
+
+
+def _write_named_rows(path, header, rows):
+    """A CSV whose rows are a name, then numbers written by ``data_io.fmt``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([name, *map(data_io.fmt, numbers)] for name, *numbers in rows)
 
 
 _COMMANDS = {

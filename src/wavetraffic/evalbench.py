@@ -143,20 +143,15 @@ class McbResult:
     significantly_worse: np.ndarray  # bool per model
 
 
-def _rank_column(col: np.ndarray, ties: str) -> np.ndarray:
-    """Ranks with 1 = lowest error; a tie group, which holds the ranks left + 1
-    to right of the sorted column, gets its max or mid rank."""
+def _rank_column(col: np.ndarray) -> np.ndarray:
+    """Ranks with 1 = lowest error; a tie group gets its max rank, the count of
+    entries at or below its value."""
     order = np.sort(col)
-    right = np.searchsorted(order, col, side="right")
-    if ties == "max":
-        return right.astype(np.float64)
-    if ties == "mid":
-        return (np.searchsorted(order, col, side="left") + right + 1) / 2
-    raise ParameterError(f"unknown tie rule {ties!r}")
+    return np.searchsorted(order, col, side="right").astype(np.float64)
 
 
-def mcb(table: ErrorTable, gamma: float = 0.05, ties: str = "max") -> McbResult:
-    """Rank models per dataset, compare mean ranks against the best.
+def mcb(table: ErrorTable, gamma: float = 0.05) -> McbResult:
+    """Rank models per dataset, a tie at its maximum rank; compare mean ranks to the best.
 
     critical distance = xi * sqrt(M (M+1) / (6 D)) with xi from
     :func:`tukey_critical_value`; a model is flagged
@@ -168,7 +163,7 @@ def mcb(table: ErrorTable, gamma: float = 0.05, ties: str = "max") -> McbResult:
         raise ParameterError("mcb needs at least 2 models and 1 dataset")
     xi = tukey_critical_value(n_models, gamma)
     ranks = np.column_stack(
-        [_rank_column(table.values[:, d], ties) for d in range(n_datasets)]
+        [_rank_column(table.values[:, d]) for d in range(n_datasets)]
     )
     mean_ranks = ranks.mean(axis=1)
     cd = xi * np.sqrt(n_models * (n_models + 1) / (6.0 * n_datasets))

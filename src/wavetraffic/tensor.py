@@ -581,7 +581,7 @@ def huber_value(err: np.ndarray) -> np.ndarray:
 
 def huber_loss(pred: Tensor, target) -> Tensor:
     """Mean Huber loss (:func:`huber_value`) with gradient clip(err) / n."""
-    target = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise DimensionError(f"huber_loss: shapes {pred.shape} and {target.shape} differ")
     node = pred._node

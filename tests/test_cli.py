@@ -11,7 +11,7 @@ import pytest
 
 from conftest import per_stream_bands
 from wavetraffic import conformal as cp
-from wavetraffic import cli, data_io, training, wavelet
+from wavetraffic import cli, data_io, evalbench, training, wavelet
 from wavetraffic.cli import build_parser, main
 from wavetraffic.graph import build_graph_bundle
 from wavetraffic.model import ModelConfig, load_checkpoint, save_checkpoint
@@ -383,9 +383,21 @@ class TestConformalEvaluateMcb:
         assert rows[0][:2] == ["metric", "overall"]
         assert [r[0] for r in rows[1:]] == ["mae", "mape", "rmse"]
         y, pred, _ = data_io.load_forecasts(forecast_pair / "test.csv")
-        from wavetraffic import evalbench
-
         assert float(rows[1][1]) == pytest.approx(evalbench.mae(y, pred), rel=1e-9)
+
+    def test_evaluate_bytes_match_csv_writer_reference(self, forecast_pair, tmp_path):
+        out = tmp_path / "metrics.csv"
+        assert main(["evaluate", "--forecasts", str(forecast_pair / "test.csv"),
+                     "--out", str(out)]) == 0
+        y, pred, _ = data_io.load_forecasts(forecast_pair / "test.csv")
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["metric", "overall"] + [f"step{s}" for s in range(1, 13)])
+            for name in ("mae", "mape", "rmse"):
+                steps = evalbench.stepwise_errors(y, pred, name)
+                writer.writerow([name, data_io.fmt(getattr(evalbench, name)(y, pred))]
+                                + [data_io.fmt(v) for v in steps])
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_mcb_output(self, tmp_path):
         table = tmp_path / "errors.csv"
@@ -401,6 +413,30 @@ class TestConformalEvaluateMcb:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["alpha", "beta", "gamma"]
         assert [float(r[1]) for r in rows[1:]] == [1.0, 2.0, 3.0]
+
+    def test_mcb_bytes_match_csv_writer_reference(self, tmp_path):
+        # a tie, a name that needs quoting, and a model significantly worse
+        values = [[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 2.0], [3.0, 3.0, 3.0, 3.0]]
+        models = ["alpha", "beta, v2", "gamma"]
+        table = tmp_path / "errors.csv"
+        with open(table, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["model", "d1", "d2", "d3", "d4"])
+            writer.writerows([name, *row] for name, row in zip(models, values))
+        out = tmp_path / "ranks.csv"
+        assert main(["mcb", "--table", str(table), "--out", str(out)]) == 0
+        result = evalbench.mcb(evalbench.ErrorTable(values, models, ["d1", "d2", "d3", "d4"]))
+        assert result.significantly_worse.any() and result.mean_ranks[0] == 1.25
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["model", "mean_rank", "interval_lo", "interval_hi",
+                             "significantly_worse"])
+            for i, name in enumerate(models):
+                writer.writerow([name, data_io.fmt(result.mean_ranks[i]),
+                                 data_io.fmt(result.intervals[i, 0]),
+                                 data_io.fmt(result.intervals[i, 1]),
+                                 int(result.significantly_worse[i])])
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_mcb_gamma_outside_the_table_names_the_flag(self, tmp_path, capsys):
         table = tmp_path / "errors.csv"
@@ -543,20 +579,22 @@ class TestMalformedInput:
         ("train", ["--filter", "haar"]),
         ("sweep-level", ["--filter", "haar"]),
         ("decompose", ["--filter", "haar"]),
+        ("mcb", ["--ties", "max"]),
     ], ids=["build-graph-stad-window", "train-stad-window", "sweep-level-stad-window",
             "train-config", "sweep-level-config", "train-split", "sweep-level-split",
             "forecast-split", "train-cheb-order", "train-huber-delta",
             "sweep-level-cheb-order", "sweep-level-huber-delta", "train-filter",
-            "sweep-level-filter", "decompose-filter"])
+            "sweep-level-filter", "decompose-filter", "mcb-ties"])
     def test_removed_option_exits_two(self, dataset, tmp_path, capsys, command, removed):
         # the distance graph is built from the whole training series, settings
-        # enter by flags only, and the split, Chebyshev order, Huber delta and
-        # wavelet filter are constants
+        # enter by flags only, and the split, Chebyshev order, Huber delta,
+        # wavelet filter and mcb's tie rule are constants
         data_path, _ = dataset
         out = tmp_path / "out"
         fast = {"sweep-level": _FAST_SWEEP, "train": _FAST_TRAIN}.get(command, [])
         io_flags = (["--input", str(data_path), "--out-dir", str(out)]
                     if command in ("build-graph", "decompose")
+                    else ["--table", str(data_path), "--out", str(out)] if command == "mcb"
                     else ["--data", str(data_path), "--out", str(out), *fast])
         if command == "forecast":
             io_flags += ["--checkpoint", str(tmp_path / "checkpoint.bin")]
@@ -617,6 +655,55 @@ class TestMalformedInput:
         assert main(["decompose", "--input", str(data_path), "--level", level,
                      "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    _SPLIT = "series of length 2 too short for split SplitSpec(train=0.6, val=0.2, test=0.2)"
+    # faults that the checks past the loaders find, each named by its input file
+    _FAULTS_PAST_THE_LOADER = [
+        ("build-graph_one_sensor", "build_stad: need an (N>=2) x time matrix, got (1, 700)"),
+        ("train_one_sensor", "build_stad: need an (N>=2) x time matrix, got (1, 420)"),
+        ("sweep-level_one_sensor", "build_stad: need an (N>=2) x time matrix, got (1, 420)"),
+        ("build-graph_one_step", "stad_distance: need at least two observations"),
+        ("train_two_steps", _SPLIT),
+        ("forecast_two_steps", _SPLIT),
+        ("conformal_node_counts_differ",
+         "calibrate_stream: calibration streams (3, 12) != test (4, 12)"),
+        ("evaluate_zero_truth", "mape: every ground-truth entry is (near) zero"),
+        # level 1's two haar taps need two steps, so there is no level range to name
+        ("decompose_one_step", "a 1-step series is too short for any haar level"),
+    ]
+
+    @pytest.mark.parametrize("case, message", _FAULTS_PAST_THE_LOADER,
+                             ids=[case for case, _ in _FAULTS_PAST_THE_LOADER])
+    def test_fault_past_the_loader_names_its_file(self, dataset, trained, forecast_pair,
+                                                  tmp_path, capsys, case, message):
+        command, fault = case.split("_", 1)
+        x = dataset[1]
+        bad = tmp_path / "bad.csv"
+        out = tmp_path / "out"
+        if command == "conformal":
+            y, pred, _ = data_io.load_forecasts(forecast_pair / "val.csv")
+            data_io.save_forecasts(tmp_path / "cal.csv", y[:, :3], pred[:, :3])
+            bad = forecast_pair / "test.csv"  # the file that the bands are for
+            argv = ["--calibration", str(tmp_path / "cal.csv"), "--test", str(bad)]
+        elif command == "evaluate":
+            y, pred, _ = data_io.load_forecasts(forecast_pair / "test.csv")
+            data_io.save_forecasts(bad, np.zeros_like(y), pred)
+            argv = ["--forecasts", str(bad)]
+        else:
+            data_io.save_csv(bad, {"one_sensor": x[:1], "one_step": x[..., :1],
+                                   "two_steps": x[..., :2]}[fault])
+            argv = {"build-graph": ["--input", str(bad), "--out-dir", str(out)],
+                    "decompose": ["--input", str(bad), "--out-dir", str(out)],
+                    "train": ["--data", str(bad), *_FAST_TRAIN],
+                    "sweep-level": ["--data", str(bad), *_FAST_SWEEP],
+                    "forecast": ["--checkpoint", str(trained / "checkpoint.bin"),
+                                 "--data", str(bad), "--segment", "val"]}[command]
+        if "--out-dir" not in argv:
+            argv += ["--out", str(out)]
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {message}\n" and err.count(str(bad)) == 1
         assert not out.exists()
 
     # ids are the fault names alone, so rewording a message keeps the test ids
